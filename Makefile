@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-short test-race scenarios workload-smoke pipeline-smoke par-smoke fuzz-smoke fuzz-native trace-smoke checkpoint-smoke deploy-smoke bench-smoke bench-msgs bench-json ci
+.PHONY: build vet test test-short test-race scenarios workload-smoke pipeline-smoke par-smoke fuzz-smoke fuzz-native trace-smoke checkpoint-smoke deploy-smoke bench-smoke bench-msgs ci
 
 build:
 	$(GO) build ./...
@@ -121,20 +121,5 @@ bench-smoke:
 # recorded per-layer baseline (deterministic; CI guard).
 bench-msgs:
 	$(GO) test -run 'TestMulDeepMessageBudget' -v ./internal/bench
-
-# bench-json regenerates BENCH_PR3.json (the tracked wall-clock
-# trajectory against the recorded pre-PR2 baseline plus the PR 3
-# per-gate vs per-layer message-complexity rows), BENCH_PR5.json
-# (the E14 session-engine amortization rows), BENCH_PR6.json (the
-# E15 trace-overhead rows) and BENCH_PR7.json (the E16
-# checkpoint-restore vs re-preprocess rows), BENCH_PR8.json (the
-# transport-backend rows: the tracked runs carried by the simulator,
-# unix sockets and TCP loopback), BENCH_PR9.json (the pipelined
-# serving rows at depths 1/4/16) and BENCH_PR10.json (the parallel-
-# ticks worker ladder over E8ACS n=8/n=16 and E7VSS n=32, with the
-# serial-identity gate); see docs/performance.md,
-# docs/observability.md, docs/checkpointing.md and docs/deployment.md.
-bench-json:
-	$(GO) run ./cmd/scenario bench -out BENCH_PR3.json -out5 BENCH_PR5.json -out6 BENCH_PR6.json -out7 BENCH_PR7.json -out8 BENCH_PR8.json -out9 BENCH_PR9.json -out10 BENCH_PR10.json
 
 ci: build vet test-short bench-smoke bench-msgs workload-smoke pipeline-smoke par-smoke fuzz-smoke trace-smoke checkpoint-smoke deploy-smoke

@@ -18,8 +18,6 @@
 //	scenario trace    -validate chrome.json
 //	scenario deploy   [-f set.json] [-backend sim|unix|tcp] [-json] [-out report.json] [name]
 //	scenario serve    [-f set.json] [-backend sim|unix|tcp] [-rounds N] [-json] [name]
-//	scenario bench    [-out BENCH_PR3.json] [-out5 BENCH_PR5.json] [-out6 BENCH_PR6.json] [-out7 BENCH_PR7.json] [-out8 BENCH_PR8.json]
-//	                  [-out9 BENCH_PR9.json] [-out10 BENCH_PR10.json]
 //
 // Examples:
 //
@@ -54,7 +52,6 @@ import (
 	"strings"
 
 	"repro/fuzzer"
-	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/mpc"
 	"repro/scenario"
@@ -85,17 +82,15 @@ func main() {
 		cmdDeploy(os.Args[2:])
 	case "serve":
 		cmdServe(os.Args[2:])
-	case "bench":
-		cmdBench(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 	default:
-		fatal("unknown subcommand %q (want list, validate, run, sweep, workload, checkpoint, fuzz, trace, deploy, serve or bench)", os.Args[1])
+		fatal("unknown subcommand %q (want list, validate, run, sweep, workload, checkpoint, fuzz, trace, deploy or serve)", os.Args[1])
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: scenario <list|validate|run|sweep|workload|checkpoint|fuzz|trace|deploy|serve|bench> [flags] [--all | name ...]")
+	fmt.Fprintln(os.Stderr, "usage: scenario <list|validate|run|sweep|workload|checkpoint|fuzz|trace|deploy|serve> [flags] [--all | name ...]")
 	fmt.Fprintln(os.Stderr, "run 'scenario <subcommand> -h' for subcommand flags")
 	os.Exit(2)
 }
@@ -686,116 +681,6 @@ func cmdServe(args []string) {
 	}
 	if rep.Failures > 0 {
 		fatal("%s: %d of %d served evaluations failed", rep.Name, rep.Failures, rep.Evals)
-	}
-}
-
-// cmdBench measures the tracked perf benchmarks (E7 VSS, E8 ACS, E13
-// online) and writes the trajectory report: recorded pre-PR2 baseline,
-// fresh wall-clock figures, per-row speedups, the protocol-metric
-// invariance verdict, and the PR 3 layer-batching message-complexity
-// comparison (per-gate vs per-layer online phase). See
-// docs/performance.md.
-func cmdBench(args []string) {
-	fs := flag.NewFlagSet("scenario bench", flag.ExitOnError)
-	out := fs.String("out", "", "write the perf JSON report to `file` (default stdout)")
-	out5 := fs.String("out5", "", "write the E14 amortization JSON report to `file` (default stdout)")
-	out6 := fs.String("out6", "", "write the E15 trace-overhead JSON report to `file` (default stdout)")
-	out7 := fs.String("out7", "", "write the E16 checkpoint/restore JSON report to `file` (default stdout)")
-	out8 := fs.String("out8", "", "write the PR8 transport-backend JSON report to `file` (default stdout)")
-	out9 := fs.String("out9", "", "write the PR9 pipelined-serving JSON report to `file` (default stdout)")
-	out10 := fs.String("out10", "", "write the PR10 parallel-ticks JSON report to `file` (default stdout)")
-	fs.Parse(args)
-	report, err := bench.RunPerf()
-	if err != nil {
-		fatal("%v", err)
-	}
-	amort := bench.RunAmortization()
-	trace := bench.RunTraceOverhead()
-	ckpt := bench.RunCheckpoint()
-	trans := bench.RunTransport()
-	pipe := bench.RunPipeline()
-	par := bench.RunParallel()
-	if *out == "" && *out5 == "" && *out6 == "" && *out7 == "" && *out8 == "" && *out9 == "" && *out10 == "" {
-		// Keep stdout a single JSON document: combine the reports.
-		emitJSON(struct {
-			Perf  *bench.PerfReport       `json:"perf"`
-			Amort *bench.AmortReport      `json:"amortization"`
-			Trace *bench.TraceReport      `json:"trace_overhead"`
-			Ckpt  *bench.CheckpointReport `json:"checkpoint"`
-			Trans *bench.TransportReport  `json:"transport"`
-			Pipe  *bench.PipelineReport   `json:"pipeline"`
-			Par   *bench.ParallelReport   `json:"parallel"`
-		}{report, amort, trace, ckpt, trans, pipe, par})
-	} else {
-		writeReport := func(path string, write func(io.Writer) error) {
-			w := io.Writer(os.Stdout)
-			if path != "" {
-				f, err := os.Create(path)
-				if err != nil {
-					fatal("%v", err)
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := write(w); err != nil {
-				fatal("%v", err)
-			}
-		}
-		writeReport(*out, func(w io.Writer) error { return bench.WritePerf(w, report) })
-		writeReport(*out5, func(w io.Writer) error { return bench.WriteAmort(w, amort) })
-		writeReport(*out6, func(w io.Writer) error { return bench.WriteTrace(w, trace) })
-		writeReport(*out7, func(w io.Writer) error { return bench.WriteCheckpoint(w, ckpt) })
-		writeReport(*out8, func(w io.Writer) error { return bench.WriteTransport(w, trans) })
-		writeReport(*out9, func(w io.Writer) error { return bench.WritePipeline(w, pipe) })
-		writeReport(*out10, func(w io.Writer) error { return bench.WriteParallel(w, par) })
-	}
-	if !report.Invariant {
-		fatal("protocol metrics diverged from the recorded baseline — the perf work changed behaviour")
-	}
-	for _, row := range report.Current {
-		if s, ok := report.Speedup[row.Name]; ok {
-			fmt.Fprintf(os.Stderr, "%-14s %6.2fx\n", row.Name, s)
-		}
-	}
-	for _, row := range report.LayerBatching {
-		fmt.Fprintf(os.Stderr, "%-24s %6d -> %5d msgs (%.1fx fewer)\n",
-			row.Name, row.PerGateMsgs, row.LayeredMsgs, row.MsgRatio)
-	}
-	for _, row := range amort.Rows {
-		fmt.Fprintln(os.Stderr, bench.FormatAmortRow(row))
-	}
-	for _, row := range trace.Rows {
-		fmt.Fprintln(os.Stderr, bench.FormatTraceRow(row))
-	}
-	for _, row := range ckpt.Rows {
-		fmt.Fprintln(os.Stderr, bench.FormatCheckpointRow(row))
-	}
-	for _, row := range trans.Rows {
-		fmt.Fprintln(os.Stderr, bench.FormatTransportRow(row))
-	}
-	for _, row := range pipe.Rows {
-		fmt.Fprintln(os.Stderr, bench.FormatPipelineRow(row))
-	}
-	for _, row := range par.Rows {
-		fmt.Fprintln(os.Stderr, bench.FormatParallelRow(row))
-	}
-	if !amort.OK {
-		fatal("E14 amortization gate failed: a session engine row diverged from one-shot outputs or did not amortize")
-	}
-	if !trace.OK {
-		fatal("E15 trace gate failed: a traced run diverged from its untraced twin")
-	}
-	if !ckpt.OK {
-		fatal("E16 checkpoint gate failed: a restored engine diverged or restore was not cheaper than re-preprocessing")
-	}
-	if !trans.OK {
-		fatal("PR8 transport gate failed: a socket-backed run diverged from the simulator outputs or moved no wire bytes")
-	}
-	if !pipe.OK {
-		fatal("PR9 pipeline gate failed: a pipelined run diverged from one-shot outputs, did not beat the depth-1 ticks/eval at depth >= 4, or drifted >1% in msgs/eval")
-	}
-	if !par.OK {
-		fatal("PR10 parallel gate failed: a workers>0 run diverged from serial (msgs/bytes/ticks/outputs must be bit-identical) or workers=4 missed the 2x wall-clock speedup")
 	}
 }
 

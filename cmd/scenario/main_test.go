@@ -55,6 +55,7 @@ func TestVerbDispatch(t *testing.T) {
 		{"no verb", nil, 2, "", "usage: scenario"},
 		{"help", []string{"help"}, 2, "", "usage: scenario"},
 		{"unknown verb", []string{"frobnicate"}, 1, "", "unknown subcommand"},
+		{"bench is not a verb", []string{"bench"}, 1, "", "unknown subcommand"},
 		{"list", []string{"list"}, 0, "sync-random-circuit", ""},
 		{"list json", []string{"list", "-json"}, 0, `"name": "async-equivocate-burst"`, ""},
 		{"validate builtins", []string{"validate"}, 0, "manifests valid", ""},

@@ -49,18 +49,3 @@ func TestE13OnlineInvariants(t *testing.T) {
 		t.Errorf("layered online phase finished at %d > bound %d", lay.LastOutput, lay.Bound)
 	}
 }
-
-// TestLayerBatchingRows: every comparison workload terminates with the
-// clear-circuit outputs under both evaluators and the batched mode
-// never sends more messages.
-func TestLayerBatchingRows(t *testing.T) {
-	for _, row := range RunLayerBatching() {
-		if !row.OutputsOK {
-			t.Errorf("%s: outputs diverged", row.Name)
-		}
-		if row.LayeredMsgs > row.PerGateMsgs {
-			t.Errorf("%s: layered sends more messages (%d) than per-gate (%d)",
-				row.Name, row.LayeredMsgs, row.PerGateMsgs)
-		}
-	}
-}

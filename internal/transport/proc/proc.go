@@ -481,6 +481,12 @@ func (t *Transport) enqueueFrame(l *link, env sim.Envelope) {
 		t.fail(fmt.Errorf("%w: write %d -> %d: %w", ErrConnLost, env.From, env.To, err))
 		return
 	}
+	// Count the frame before the writer can see it: the reader counts
+	// it in only after it crossed the socket, so FramesIn never
+	// overtakes FramesOut and the two agree whenever the run is
+	// quiescent.
+	t.framesOut.Add(1)
+	t.bytesOut.Add(uint64(len(buf)))
 	l.outMu.Lock()
 	l.outQ = append(l.outQ, buf)
 	l.outMu.Unlock()
@@ -520,15 +526,12 @@ func (t *Transport) writeLoop(from, to int, l *link) {
 			}
 		}
 		l.wconn.SetWriteDeadline(time.Now().Add(t.ioTimeout))
-		nb, err := l.wconn.Write(batch)
-		if err != nil {
+		if _, err := l.wconn.Write(batch); err != nil {
 			if !t.closed.Load() {
 				t.fail(fmt.Errorf("%w: write %d -> %d: wire: write frame: %w", ErrConnLost, from, to, err))
 			}
 			return
 		}
-		t.framesOut.Add(uint64(frames))
-		t.bytesOut.Add(uint64(nb))
 	}
 }
 
@@ -671,14 +674,17 @@ func (t *Transport) failed() bool {
 	}
 }
 
-// WireStats implements transport.WireMeter: physical frame bytes that
-// crossed the sockets (prefixes and CRC trailers included).
+// WireStats implements transport.WireMeter: physical frame bytes
+// (prefixes and CRC trailers included) handed to the socket writers
+// and read back off the sockets. The in counters are loaded first, so
+// even a read racing the run never shows FramesIn above FramesOut.
 func (t *Transport) WireStats() transport.WireStats {
+	framesIn, bytesIn := t.framesIn.Load(), t.bytesIn.Load()
 	return transport.WireStats{
 		FramesOut: t.framesOut.Load(),
 		BytesOut:  t.bytesOut.Load(),
-		FramesIn:  t.framesIn.Load(),
-		BytesIn:   t.bytesIn.Load(),
+		FramesIn:  framesIn,
+		BytesIn:   bytesIn,
 	}
 }
 

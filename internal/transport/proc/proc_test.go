@@ -104,9 +104,13 @@ func TestDifferentialPing(t *testing.T) {
 }
 
 // TestWireStats checks that honest cross-party traffic physically
-// crossed the sockets and self-sends stayed off the wire.
+// crossed the sockets and self-sends stayed off the wire. Each round
+// reads the counters straight after quiescence, when every sent frame
+// has been read back, so the out and in pairs must agree exactly — a
+// writer goroutine that counted only after its socket write returned
+// could still lag the reader that had already counted the frame in.
 func TestWireStats(t *testing.T) {
-	const n = 5
+	const n, rounds = 5, 300
 	factory := proc.New(proc.Options{Kind: "unix", Addrs: unixAddrs(t, n)})
 	w, err := proto.NewWorldE(proto.WorldOpts{
 		Cfg: proto.Config{N: n, Ts: 1, Ta: 0}, Network: proto.Sync, Seed: 7, Transport: factory,
@@ -118,15 +122,20 @@ func TestWireStats(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		w.Runtimes[i].Register("x", proto.HandlerFunc(func(int, uint8, []byte) {}))
 	}
-	w.Runtimes[1].SendAll("x", 0, []byte("payload"))
-	w.RunToQuiescence()
-	st := transport.Meter(w.Net)
-	// n-1 cross-party frames; the self-send is direct.
-	if st.FramesOut != n-1 || st.FramesIn != n-1 {
-		t.Fatalf("frames out/in = %d/%d, want %d/%d", st.FramesOut, st.FramesIn, n-1, n-1)
+	for r := 1; r <= rounds; r++ {
+		w.Runtimes[1+r%n].SendAll("x", 0, []byte("payload"))
+		w.RunToQuiescence()
+		st := transport.Meter(w.Net)
+		// n-1 cross-party frames per round; the self-send is direct.
+		if want := uint64(r * (n - 1)); st.FramesOut != want || st.FramesIn != want {
+			t.Fatalf("round %d: frames out/in = %d/%d, want %d/%d", r, st.FramesOut, st.FramesIn, want, want)
+		}
+		if st.BytesOut == 0 || st.BytesOut != st.BytesIn {
+			t.Fatalf("round %d: bytes out/in = %d/%d", r, st.BytesOut, st.BytesIn)
+		}
 	}
-	if st.BytesOut == 0 || st.BytesOut != st.BytesIn {
-		t.Fatalf("bytes out/in = %d/%d", st.BytesOut, st.BytesIn)
+	if err := w.TransportErr(); err != nil {
+		t.Fatalf("transport fault: %v", err)
 	}
 }
 

@@ -78,8 +78,9 @@ func Sim(n int, sched *sim.Scheduler, policy sim.Policy, rng *rand.Rand) (Transp
 // These figures are deliberately kept out of sim.Metrics so virtual
 // accounting stays bit-identical across backends.
 type WireStats struct {
-	// FramesOut/BytesOut count frames written to peer sockets;
-	// FramesIn/BytesIn count frames read and verified.
+	// FramesOut/BytesOut count frames handed to the peer socket
+	// writers; FramesIn/BytesIn count frames read and verified. At
+	// quiescence every sent frame has been read, so the pairs agree.
 	FramesOut uint64 `json:"framesOut"`
 	BytesOut  uint64 `json:"bytesOut"`
 	FramesIn  uint64 `json:"framesIn"`

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/circuit"
 	"repro/field"
@@ -73,19 +74,33 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 // TestCheckpointDoubleRestore restores the same stream twice; both
 // engines must replay identically (a checkpoint is a value, not a
-// transferable lease).
+// transferable lease). Restoring must also be cheaper than filling the
+// same pool again: it skips the preprocessing protocol entirely.
 func TestCheckpointDoubleRestore(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 11)
 	_, ck := snapshotEngine(t, cfg, 2, 1)
+	start := time.Now()
 	a, err := RestoreEngine(cfg, bytes.NewReader(ck))
 	if err != nil {
 		t.Fatal(err)
 	}
+	restoreTime := time.Since(start)
 	b, err := RestoreEngine(cfg, bytes.NewReader(ck))
 	if err != nil {
 		t.Fatal(err)
 	}
 	circ := circuit.Product(cfg.N)
+	fresh, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start = time.Now()
+	if _, err := fresh.Preprocess(2 * circ.MulCount); err != nil {
+		t.Fatal(err)
+	}
+	if preprocessTime := time.Since(start); restoreTime >= preprocessTime {
+		t.Errorf("restore took %v, not below the %v of re-preprocessing", restoreTime, preprocessTime)
+	}
 	inputs := engInputs(cfg.N)
 	ra, err := a.Evaluate(circ, inputs)
 	if err != nil {

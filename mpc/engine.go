@@ -147,7 +147,7 @@ type EngineStats struct {
 	// PreprocessMessages/Bytes is the honest traffic of every
 	// Preprocess; EvalMessages/Bytes the honest traffic of every
 	// Evaluate. Their ratio against Evaluations is the amortization
-	// headline (see the scenario `workload` verb and BENCH_PR5.json).
+	// headline (see the scenario `workload` verb).
 	PreprocessMessages uint64 `json:"preprocessMessages"`
 	PreprocessBytes    uint64 `json:"preprocessBytes"`
 	EvalMessages       uint64 `json:"evalMessages"`
