@@ -1,12 +1,15 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: build vet test test-short test-race scenarios workload-smoke pipeline-smoke par-smoke fuzz-smoke fuzz-native trace-smoke checkpoint-smoke deploy-smoke bench-smoke bench-msgs ci
+.PHONY: build vet test test-short test-race scenarios workload-smoke pipeline-smoke fuzz-smoke fuzz-native trace-smoke checkpoint-smoke deploy-smoke bench-smoke bench-msgs ci
 
 build:
 	$(GO) build ./...
 
+# vet also fails when any Go file is not gofmt-clean.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -63,19 +66,6 @@ pipeline-smoke:
 	cmp /tmp/repro-pipe-d4a.json /tmp/repro-pipe-d4b.json
 	$(GO) run ./cmd/scenario workload workload-pipeline-refill-sync
 
-# par-smoke drives the PR 10 parallel-ticks path end to end: the full
-# builtin corpus run serial and on a 4-worker intra-tick pool must
-# produce bit-identical JSON reports (the determinism contract of
-# docs/architecture.md — parallelism buys host wall-clock only), and
-# the staged-effect barrier must survive the race detector on real
-# protocol traffic.
-par-smoke:
-	$(GO) run ./cmd/scenario run --all -json > /tmp/repro-par-serial.json
-	$(GO) run ./cmd/scenario run --all -json -workers 4 > /tmp/repro-par-w4.json
-	cmp /tmp/repro-par-serial.json /tmp/repro-par-w4.json
-	$(GO) test -race -run 'TestParallel' ./internal/sim
-	$(GO) test -race -short -run 'TestWorkersBitIdenticalShort' ./scenario
-
 # trace-smoke runs one builtin with the PR 6 trace layer on, then
 # validates the exported Chrome trace (well-formed JSON, non-empty,
 # monotone timestamps). The zero-alloc nil-tracer guard and the
@@ -122,4 +112,4 @@ bench-smoke:
 bench-msgs:
 	$(GO) test -run 'TestMulDeepMessageBudget' -v ./internal/bench
 
-ci: build vet test-short bench-smoke bench-msgs workload-smoke pipeline-smoke par-smoke fuzz-smoke trace-smoke checkpoint-smoke deploy-smoke
+ci: build vet test-short bench-smoke bench-msgs workload-smoke pipeline-smoke fuzz-smoke trace-smoke checkpoint-smoke deploy-smoke

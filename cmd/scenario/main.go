@@ -6,10 +6,10 @@
 //
 //	scenario list     [-json]
 //	scenario validate [-f file.json] [name ...]
-//	scenario run      [-f file.json] [-parallel N] [-workers n] [-json] [-trace] [-trace-out dir] [--all | name ...]
+//	scenario run      [-f file.json] [-parallel N] [-json] [-trace] [-trace-out dir] [--all | name ...]
 //	scenario sweep    [-seeds A..B] [-parallel N] [-json] [--all | name ...]
 //	scenario workload [-f file.json] [-json] [-compare] [-require-savings] [-trace] [-trace-out dir]
-//	                  [-checkpoint file] [-resume file] [-stop-after k] [-pipeline n] [-workers n] [--all | name ...]
+//	                  [-checkpoint file] [-resume file] [-stop-after k] [-pipeline n] [--all | name ...]
 //	scenario checkpoint [-json] file
 //	scenario fuzz     [-trials N] [-seed S] [-parallel N] [-json] [-out dir]
 //	scenario fuzz     -crash -trials N [-seed S] [-json]
@@ -244,7 +244,6 @@ func cmdWorkload(args []string) {
 	resumePath := fs.String("resume", "", "resume the workload from a checkpoint `file` instead of starting fresh (single workload only)")
 	stopAfter := fs.Int("stop-after", 0, "stop after `k` completed steps — a simulated crash for checkpoint testing (single workload only)")
 	pipeline := fs.Int("pipeline", 0, "override the manifest's serving depth: `n` > 0 pipelines n in-flight evaluations, -1 forces sequential serving, 0 keeps the manifest's")
-	workers := fs.Int("workers", 0, "override the manifest's intra-tick worker-pool size: `n` > 0 forces n workers, -1 forces the serial loop, 0 keeps the manifest's (reports are bit-identical either way)")
 	fs.Parse(args)
 	var ms []*scenario.Manifest
 	switch {
@@ -304,7 +303,6 @@ func cmdWorkload(args []string) {
 			StopAfter:      *stopAfter,
 			Resume:         resume,
 			Pipeline:       *pipeline,
-			Workers:        *workers,
 		})
 		if err != nil {
 			fatal("%s: %v", m.Name, err)
@@ -794,22 +792,15 @@ func cmdRun(args []string) {
 	jsonOut := fs.Bool("json", false, "emit reports as JSON")
 	trace := fs.Bool("trace", false, "trace each run and print its timeline summary (forces serial execution)")
 	traceOut := fs.String("trace-out", "", "write per-run Chrome trace + JSONL files into `dir` (implies tracing)")
-	workers := fs.Int("workers", 0, "override each manifest's intra-tick worker-pool size: `n` > 0 forces n workers, -1 forces the serial loop, 0 keeps the manifest's (reports are bit-identical either way; forces serial manifest execution)")
 	fs.Parse(args)
 	ms := selectManifests(fs, *file, *all, fs.Args())
-	if *trace || *traceOut != "" || *workers != 0 {
+	if *trace || *traceOut != "" {
 		results := make([]scenario.SweepResult, 0, len(ms))
-		doTrace := *trace || *traceOut != ""
 		for _, m := range ms {
-			var col *obs.Collector
-			var tr obs.Tracer
-			if doTrace {
-				col = obs.NewCollector()
-				tr = col
-			}
-			rep, err := scenario.RunWith(m, scenario.RunOptions{Tracer: tr, Workers: *workers})
+			col := obs.NewCollector()
+			rep, err := scenario.RunTraced(m, col)
 			results = append(results, scenario.SweepResult{Manifest: m, Report: rep, Err: err})
-			if err != nil || !doTrace {
+			if err != nil {
 				continue
 			}
 			if *trace && !*jsonOut {

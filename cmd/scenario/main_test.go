@@ -64,6 +64,7 @@ func TestVerbDispatch(t *testing.T) {
 		{"validate bad file", []string{"validate", "-f", badManifest}, 1, "", "need at least 4 parties"},
 		{"run needs names", []string{"run"}, 2, "", "Usage of scenario run"},
 		{"run one scenario", []string{"run", "sync-boundary-n5"}, 0, "PASS sync-boundary-n5", ""},
+		{"run has no workers flag", []string{"run", "-workers", "4", "sync-sum-honest"}, 2, "", "flag provided but not defined: -workers"},
 		{"sweep bad seed range", []string{"sweep", "-seeds", "9..1", "sync-sum-honest"}, 1, "", "bad seed range"},
 		{"fuzz rejects positional args", []string{"fuzz", "extra"}, 1, "", "no positional arguments"},
 		{"fuzz bad inject", []string{"fuzz", "-inject", "nope"}, 1, "", "unknown -inject mode"},

@@ -89,10 +89,10 @@ type Counterexample struct {
 
 // Summary reports a campaign.
 type Summary struct {
-	Seed    uint64 `json:"seed"`
-	Trials  int    `json:"trials"`
-	Passed  int    `json:"passed"`
-	Inject  Inject `json:"inject,omitempty"`
+	Seed   uint64 `json:"seed"`
+	Trials int    `json:"trials"`
+	Passed int    `json:"passed"`
+	Inject Inject `json:"inject,omitempty"`
 	// HonestMessages/HonestBytes total the honest-origin traffic of the
 	// trials' primary runs (shrink re-runs excluded), making a campaign
 	// cost-comparable against scenario sweeps and workload reports; the

@@ -96,37 +96,9 @@ func (rt *Runtime) SetKernelCache(c *poly.KernelCache) { rt.kernels = c }
 // Kernels returns the run's interpolation-kernel cache.
 func (rt *Runtime) Kernels() *poly.KernelCache { return rt.kernels }
 
-// stagedTracer is the per-party trace sink: during a parallel batch it
-// stages emissions into the scheduler's per-event buffers (re-emitted
-// at the barrier in canonical order), otherwise it forwards straight to
-// the real sink. It exists only when tracing is on, so the nil-tracer
-// fast path stays a single branch everywhere.
-type stagedTracer struct {
-	party int
-	sched *sim.Scheduler
-	real  obs.Tracer
-}
-
-// Emit implements obs.Tracer.
-func (st *stagedTracer) Emit(ev obs.Event) {
-	if st.sched.Staging() {
-		st.sched.StageTrace(st.party, ev)
-		return
-	}
-	st.real.Emit(ev)
-}
-
 // SetTracer installs tr as this party's trace sink (nil disables
-// tracing). The runtime wraps it in a staging proxy so emissions from
-// inside a parallel batch land in the trace stream at their canonical
-// serial position.
-func (rt *Runtime) SetTracer(tr obs.Tracer) {
-	if tr == nil {
-		rt.tracer = nil
-		return
-	}
-	rt.tracer = &stagedTracer{party: rt.id, sched: rt.sched, real: tr}
-}
+// tracing).
+func (rt *Runtime) SetTracer(tr obs.Tracer) { rt.tracer = tr }
 
 // Tracer returns the installed trace sink (nil when tracing is off).
 // Protocol layers built on the runtime (triple pool, engine) emit
@@ -159,7 +131,7 @@ func (rt *Runtime) After(d sim.Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("proto: negative delay %d", d))
 	}
-	rt.sched.AtParty(rt.sched.Now()+d, sim.PrioDeliver, rt.id, fn)
+	rt.sched.AtPrio(rt.sched.Now()+d, sim.PrioDeliver, fn)
 }
 
 // At schedules fn at absolute local time t; if t is already past, fn
@@ -168,7 +140,7 @@ func (rt *Runtime) At(t sim.Time, fn func()) {
 	if t < rt.sched.Now() {
 		t = rt.sched.Now()
 	}
-	rt.sched.AtParty(t, sim.PrioDeliver, rt.id, fn)
+	rt.sched.AtPrio(t, sim.PrioDeliver, fn)
 }
 
 // AtProcessing schedules fn at absolute local time t in the
@@ -179,16 +151,8 @@ func (rt *Runtime) AtProcessing(t sim.Time, fn func()) {
 	if t < rt.sched.Now() {
 		t = rt.sched.Now()
 	}
-	rt.sched.AtParty(t, sim.PrioProcess, rt.id, fn)
+	rt.sched.AtPrio(t, sim.PrioProcess, fn)
 }
-
-// Defer runs fn on this party's behalf: immediately on the serial path,
-// or — when called from inside a parallel batch — staged to the per-tick
-// barrier, where it executes at this event's canonical serial position.
-// Layers above the runtime (engine completion callbacks, pool refill
-// accounting) use it to fold per-party results into shared state
-// without racing the other parties' workers.
-func (rt *Runtime) Defer(fn func()) { rt.sched.DeferParty(rt.id, fn) }
 
 // Register installs h as the handler for the exact instance path inst
 // and replays any buffered messages for it. Registering a duplicate

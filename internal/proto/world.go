@@ -37,15 +37,6 @@ type WorldOpts struct {
 	// RNG, so every backend consumes policy delays in the same order and
 	// a fixed seed replays the same virtual schedule on any backend.
 	Transport transport.Factory
-	// Workers sets the intra-tick worker-pool size: each tick's
-	// PrioDeliver events are partitioned by party and executed
-	// concurrently, with effects merged at a per-tick barrier in
-	// canonical order, so the run is bit-identical to serial at every
-	// pool size. 0 (the default) keeps the plain single-threaded loop.
-	// Only the in-memory simulator supports it: an explicit Transport
-	// factory (the lockstep socket backend rendezvouses party goroutines
-	// with scheduler events) forces serial execution.
-	Workers int
 }
 
 // World is an assembled n-party system: the shared virtual-time
@@ -150,9 +141,6 @@ func NewWorldE(opts WorldOpts) (*World, error) {
 	factory := opts.Transport
 	if factory == nil {
 		factory = transport.Sim
-		if opts.Workers > 0 {
-			sched.SetParallel(opts.Workers, cfg.N)
-		}
 	}
 	netPCG := rand.NewPCG(opts.Seed, 0x6e657477_6f726b00) // "network"
 	net, err := factory(cfg.N, sched, policy, rand.New(netPCG))
@@ -177,8 +165,8 @@ func NewWorldE(opts WorldOpts) (*World, error) {
 	}
 	// One kernel registry per world — the O(m²) barycentric builds are
 	// paid once per distinct point set for the world's whole lifetime
-	// (all epochs, refills and parties) — with per-party clone caches so
-	// concurrent workers never share interpolation scratch.
+	// (all epochs, refills and parties) — with per-party clone caches, each
+	// holding its own interpolation scratch.
 	kernels := poly.NewKernelRegistry()
 	for i := 1; i <= cfg.N; i++ {
 		pcg := rand.NewPCG(opts.Seed^uint64(i)*0x9e3779b97f4a7c15, uint64(i))
@@ -237,11 +225,9 @@ func (w *World) Step() bool {
 // StepTick executes every event of the next pending tick (if any, and
 // if the event limit is not exhausted), reporting whether any ran. It
 // is the tick-granular driver the pipelined engine polls with: engine
-// state is only inspected at tick boundaries, which is the same
-// observation granularity at every worker count — a mid-tick stop
-// would make the submission point (and with it every later sequence
-// number and RNG draw) depend on where inside a tick a completion
-// landed, which parallel batches cannot reproduce.
+// state is only inspected at tick boundaries, so the submission point
+// (and with it every later sequence number and RNG draw) never depends
+// on where inside a tick a completion landed.
 func (w *World) StepTick() bool {
 	if w.Sched.Limit > 0 && w.Sched.Processed() >= w.Sched.Limit {
 		return false

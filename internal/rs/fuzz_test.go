@@ -26,8 +26,8 @@ func FuzzOECMatchesDecode(f *testing.F) {
 	f.Add(uint64(42), uint8(14), uint16(0xffff), uint8(2))
 	f.Fuzz(func(t *testing.T, seed uint64, shape uint8, errBits uint16, extra uint8) {
 		r := rand.New(rand.NewPCG(seed, 0xfa22))
-		d := int(shape % 4)        // degree 0..3
-		tt := int(shape/4%4) + 1   // corruption bound 1..4
+		d := int(shape % 4)      // degree 0..3
+		tt := int(shape/4%4) + 1 // corruption bound 1..4
 		m := d + tt + 1 + int(extra%uint8(tt+2))
 
 		committed := poly.Random(r, d, field.Random(r))

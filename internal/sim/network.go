@@ -231,17 +231,9 @@ func (nw *Network) N() int { return nw.n }
 
 // Send transmits env according to the delivery policy. Messages from
 // corrupt senders pass through the adversary's interceptor first.
-// During a parallel batch the envelope is staged raw — before the
-// interceptor, the metrics and the delay draw — and this method runs
-// again at the barrier, so the shared RNG and the adversary observe
-// sends in canonical order.
 func (nw *Network) Send(env Envelope) {
 	if env.To < 1 || env.To > nw.n {
 		panic(fmt.Sprintf("sim: send to party %d out of range", env.To))
-	}
-	if nw.sched.Staging() {
-		nw.sched.stageSend(nw, env)
-		return
 	}
 	if nw.corrupt[env.From] && nw.interceptor != nil {
 		for _, d := range nw.interceptor.Intercept(nw.sched.Now(), env) {

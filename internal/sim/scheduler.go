@@ -45,16 +45,11 @@ type event struct {
 	seq  uint64 // FIFO tie-break within a class; keeps runs deterministic
 	prio uint8  // same-tick ordering class: lower runs first
 	kind uint8
-	// party is the event's owner: the destination party for deliveries,
-	// the scheduling party for runtime timers, 0 for harness/global
-	// timers. Parallel ticks partition a lane by party; 0 means the
-	// event cannot be attributed and forces the serial path.
-	party int32
-	fn    func()      // kindTimer
-	env   Envelope    // kindDeliver
-	sink  DeliverSink // kindDeliver
-	tag   uint64      // kindDeliver: opaque sink cookie
-	sent  Time        // kindDeliver: send time, for traced delivery latency
+	fn   func()      // kindTimer
+	env  Envelope    // kindDeliver
+	sink DeliverSink // kindDeliver
+	tag  uint64      // kindDeliver: opaque sink cookie
+	sent Time        // kindDeliver: send time, for traced delivery latency
 }
 
 // Priority classes for same-tick ordering.
@@ -121,10 +116,6 @@ type Scheduler struct {
 	// tracer receives scheduler trace events; nil (the default) means
 	// tracing is off and every emission site reduces to one branch.
 	tracer obs.Tracer
-	// par holds the parallel-tick execution state; nil (the default)
-	// means every event runs on the caller's goroutine, exactly the
-	// single-threaded loop described above.
-	par *parallelState
 }
 
 // grab appends e to the lane, drawing recycled storage for the first
@@ -194,18 +185,6 @@ func (s *Scheduler) AtPrio(t Time, prio uint8, fn func()) {
 	s.push(event{at: t, prio: prio, kind: kindTimer, fn: fn})
 }
 
-// AtParty schedules fn at absolute time t in the given priority class
-// on behalf of party (1-based). The tag lets parallel ticks run the
-// timer on the party's worker; a timer scheduled from inside a parallel
-// batch is staged and merged at the barrier in canonical order.
-func (s *Scheduler) AtParty(t Time, prio uint8, party int, fn func()) {
-	if s.par != nil && s.par.staging {
-		s.stageTimer(party, t, prio, fn)
-		return
-	}
-	s.push(event{at: t, prio: prio, kind: kindTimer, party: int32(party), fn: fn})
-}
-
 // After schedules fn d ticks from now; d must be non-negative.
 func (s *Scheduler) After(d Time, fn func()) {
 	if d < 0 {
@@ -222,7 +201,7 @@ func (s *Scheduler) After(d Time, fn func()) {
 // that schedules through AfterDeliver replays the simulator's event
 // order bit-identically.
 func (s *Scheduler) AfterDeliver(d Time, sink DeliverSink, tag uint64, env Envelope) {
-	s.push(event{at: s.now + d, prio: PrioDeliver, kind: kindDeliver, party: int32(env.To), env: env, sink: sink, tag: tag, sent: s.now})
+	s.push(event{at: s.now + d, prio: PrioDeliver, kind: kindDeliver, env: env, sink: sink, tag: tag, sent: s.now})
 }
 
 // migrate moves overflow events that now fall inside the ring window
@@ -289,14 +268,24 @@ func (s *Scheduler) pop() event {
 	return e
 }
 
-// run executes one event.
+// run executes one event, emitting its own trace record
+// (KDeliver/KTimer) first when tracing is on.
 func (s *Scheduler) run(e event) {
-	if s.tracer != nil {
-		s.traceHead(&e)
-	}
 	if e.kind == kindDeliver {
+		if s.tracer != nil {
+			s.tracer.Emit(obs.Event{
+				Kind: obs.KDeliver, Tick: int64(s.now),
+				Party: e.env.To, Peer: e.env.From,
+				Inst: e.env.Inst, Type: e.env.Type,
+				Bytes: int64(e.env.WireSize()),
+				A:     int64(s.now - e.sent),
+			})
+		}
 		e.sink.DispatchDelivered(e.env, e.tag)
 		return
+	}
+	if s.tracer != nil {
+		s.tracer.Emit(obs.Event{Kind: obs.KTimer, Tick: int64(s.now), A: int64(e.prio)})
 	}
 	e.fn()
 }
@@ -323,18 +312,11 @@ func (s *Scheduler) Step() bool {
 
 // StepTick executes every event of the earliest pending tick — including
 // events pushed onto that same tick while it runs — and returns whether
-// any event ran. With a worker pool configured (SetParallel) the tick's
-// PrioDeliver batches run in parallel with staged effects; otherwise the
-// loop is the plain serial Step. Either way the observable run (event
-// order, RNG draws, traces, metrics) is bit-identical. A Limit hit stops
-// mid-tick at exactly the serial event count, leaving the rest queued.
+// any event ran. A Limit hit stops mid-tick, leaving the rest queued.
 func (s *Scheduler) StepTick() bool {
 	t, ok := s.peekTime()
 	if !ok {
 		return false
-	}
-	if s.par != nil {
-		return s.stepTickParallel(t)
 	}
 	ran := false
 	for {
@@ -362,11 +344,7 @@ func (s *Scheduler) RunUntil(horizon Time) uint64 {
 		if s.Limit > 0 && s.processed >= s.Limit {
 			break
 		}
-		if s.par != nil {
-			s.stepTickParallel(t)
-		} else {
-			s.Step()
-		}
+		s.Step()
 	}
 	if s.now < horizon {
 		s.now = horizon
@@ -382,12 +360,7 @@ func (s *Scheduler) RunToQuiescence() uint64 {
 		if s.Limit > 0 && s.processed >= s.Limit {
 			break
 		}
-		if s.par != nil {
-			t, _ := s.peekTime()
-			s.stepTickParallel(t)
-		} else {
-			s.Step()
-		}
+		s.Step()
 	}
 	return s.processed - start
 }

@@ -36,6 +36,18 @@ func TestSchedulerNestedEvents(t *testing.T) {
 	if len(fired) != 1 || fired[0] != 5 {
 		t.Fatalf("nested event fired at %v, want [5]", fired)
 	}
+	// StepTick drains one tick, including events pushed onto it while it
+	// runs, and leaves later ticks queued.
+	s = NewScheduler()
+	fired = nil
+	s.At(3, func() {
+		fired = append(fired, s.Now())
+		s.After(0, func() { fired = append(fired, s.Now()) })
+		s.After(1, func() { fired = append(fired, s.Now()) })
+	})
+	if !s.StepTick() || len(fired) != 2 || s.Pending() != 1 {
+		t.Fatalf("StepTick fired %v with %d pending, want [3 3] with 1", fired, s.Pending())
+	}
 }
 
 func TestSchedulerRunUntil(t *testing.T) {
@@ -79,6 +91,15 @@ func TestSchedulerLimit(t *testing.T) {
 	s.RunToQuiescence()
 	if count != 3 {
 		t.Fatalf("limit ignored: ran %d events", count)
+	}
+	// StepTick stops mid-tick at the limit, leaving the rest queued.
+	s = NewScheduler()
+	s.Limit = 2
+	for i := 0; i < 3; i++ {
+		s.At(7, func() {})
+	}
+	if !s.StepTick() || s.Processed() != 2 || s.Pending() != 1 {
+		t.Fatalf("StepTick under Limit 2: processed %d, %d pending, want 2 and 1", s.Processed(), s.Pending())
 	}
 }
 

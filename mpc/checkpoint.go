@@ -148,7 +148,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 		return fmt.Errorf("mpc: snapshot: %w", err)
 	}
 	p := checkpointPayload{
-		Config:        identityConfig(e.cfg),
+		Config:        e.cfg,
 		Adversary:     e.adv,
 		World:         ws,
 		Pools:         make([]*triples.PoolState, e.cfg.N),
@@ -230,16 +230,6 @@ func canonicalJSON(v any) string {
 	return string(b)
 }
 
-// identityConfig strips the execution knobs that do not participate in
-// the checkpoint identity: Workers changes how ticks execute, never
-// what they compute, so a snapshot taken at workers=4 restores cleanly
-// into a serial engine and vice versa (the same latitude TransportSpec
-// already has via EngineOptions).
-func identityConfig(cfg Config) Config {
-	cfg.Workers = 0
-	return cfg
-}
-
 // matchConfig compares the checkpointed value against the caller's by
 // canonical JSON, the same equality the engine's determinism contract
 // is quantified over.
@@ -285,7 +275,7 @@ func RestoreEngineOpts(cfg Config, opts EngineOptions, r io.Reader) (*Engine, er
 	if err != nil {
 		return nil, err
 	}
-	if err := matchConfig("config", identityConfig(p.Config), identityConfig(cfg)); err != nil {
+	if err := matchConfig("config", p.Config, cfg); err != nil {
 		return nil, err
 	}
 	if err := matchConfig("adversary", p.Adversary, opts.Adversary); err != nil {

@@ -184,6 +184,9 @@ func NewEngineTraced(cfg Config, adv *Adversary, tr obs.Tracer) (*Engine, error)
 // API and the one-shot Run wrapper. factory selects the transport
 // backend (nil = the in-memory simulator).
 func newEngine(cfg Config, adv *Adversary, tr obs.Tracer, factory transport.Factory) (*Engine, error) {
+	if cfg.Workers != 0 {
+		return nil, fmt.Errorf("mpc: Config.Workers = %d is not supported: the simulator runs one serial event loop (leave it 0)", cfg.Workers)
+	}
 	pcfg := proto.Config{
 		N: cfg.N, Ts: cfg.Ts, Ta: cfg.Ta,
 		Delta:      sim.Time(cfg.Delta),
@@ -275,7 +278,6 @@ func newEngine(cfg Config, adv *Adversary, tr obs.Tracer, factory transport.Fact
 		EventLimit:  limit,
 		Tracer:      tr,
 		Transport:   factory,
-		Workers:     cfg.Workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrTransport, err)

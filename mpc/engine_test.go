@@ -32,7 +32,9 @@ func TestEngineDifferential(t *testing.T) {
 		"sum":     func() *circuit.Circuit { return circuit.Sum(5) },
 		"product": func() *circuit.Circuit { return circuit.Product(5) },
 		"stats":   func() *circuit.Circuit { return circuit.SumAndVariancePieces(5) },
-		"poly":    func() *circuit.Circuit { return circuit.PolyEval(5, []field.Element{field.New(7), field.New(3), field.New(1)}) },
+		"poly": func() *circuit.Circuit {
+			return circuit.PolyEval(5, []field.Element{field.New(7), field.New(3), field.New(1)})
+		},
 	}
 	for _, perGate := range []bool{false, true} {
 		for name, mk := range circs {
@@ -78,6 +80,10 @@ func TestEngineDifferential(t *testing.T) {
 				}
 			}
 			st := eng.Stats()
+			if engineTotal != st.EvalMessages {
+				t.Errorf("%s perGate=%v: per-evaluation msgs sum to %d, Stats().EvalMessages = %d",
+					name, perGate, engineTotal, st.EvalMessages)
+			}
 			oneShot, err := Run(cfg, mk(), inputs, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -89,7 +95,6 @@ func TestEngineDifferential(t *testing.T) {
 						name, perGate, amortized, oneShot.HonestMessages)
 				}
 			}
-			_ = engineTotal
 		}
 	}
 }
@@ -204,11 +209,16 @@ func TestEngineRefillAfterImmediateExhaustion(t *testing.T) {
 	}
 }
 
-// TestEngineMisuse covers the lifecycle guard rails: Evaluate before
-// Preprocess, double Preprocess, and shape mismatches all fail with
-// clear typed errors and leave the engine usable.
+// TestEngineMisuse covers the lifecycle guard rails: a worker-pool
+// config, Evaluate before Preprocess, double Preprocess, and shape
+// mismatches all fail with clear errors and leave the engine usable.
 func TestEngineMisuse(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 9)
+	withWorkers := cfg
+	withWorkers.Workers = 1
+	if _, err := NewEngine(withWorkers); err == nil || !strings.Contains(err.Error(), "Workers") {
+		t.Fatalf("Config.Workers = 1: want an error, got %v", err)
+	}
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -101,15 +101,11 @@ type Config struct {
 	// (defaults to RefillLowWater; a submit needing more than the
 	// budget raises it to its shortfall).
 	RefillBudget int
-	// Workers sets the intra-tick worker-pool size: within each
-	// simulated tick the parties' independent computations execute
-	// concurrently, with all effects merged at a per-tick barrier in
-	// canonical order, so results, metrics and traces are bit-identical
-	// to serial at every pool size. 0 (the default) keeps the
-	// single-threaded loop. Ignored on a real transport backend
-	// (TransportSpec), and — like the backend — deliberately not part of
-	// the checkpoint identity: it is an execution knob, not a protocol
-	// parameter.
+	// Workers must be 0: every engine runs the simulator's single
+	// serial event loop, and a non-zero value is rejected.
+	//
+	// Deprecated: the field is kept only for callers that still read it,
+	// and so that checkpoints keep their format.
 	Workers int
 }
 

@@ -165,19 +165,13 @@ func (e *Engine) EvaluateAsync(circ *circuit.Circuit, inputs []field.Element) (*
 		}
 		p.engines[i] = core.NewSession(w.Runtimes[i], inst, circ, e.pcfg, e.coin, start, mode, reserved[i],
 			func(out []field.Element) {
-				// Per-party slots are disjoint, so the writes are safe from
-				// a parallel tick's workers; folding the completion into
-				// shared engine state is deferred to the party's canonical
-				// position (immediate on the serial path).
 				res.PerParty[i] = out
 				res.TerminatedAt[i] = int64(w.Sched.Now())
 				if honest {
-					w.Runtimes[i].Defer(func() {
-						p.remaining--
-						if p.remaining == 0 {
-							e.complete(p)
-						}
-					})
+					p.remaining--
+					if p.remaining == 0 {
+						e.complete(p)
+					}
 				}
 			})
 	}
@@ -213,9 +207,8 @@ func (p *PendingEval) Wait() (*Result, error) {
 	e := p.e
 	// Tick-granular polling: completion is only observed at tick
 	// boundaries, so the next submission point — and with it every later
-	// sequence number and RNG draw — is identical at every worker count
-	// (a parallel batch cannot stop mid-tick on the completing event the
-	// way per-event stepping would).
+	// sequence number and RNG draw — never depends on where inside a
+	// tick the completing event ran.
 	for !p.done && e.world.StepTick() {
 	}
 	if !p.done {
@@ -412,11 +405,7 @@ func (e *Engine) startRefill(minNeed int) error {
 		var onDone func(int)
 		if honest {
 			rs.remaining++
-			// The landing callback mutates shared engine state, so route
-			// it through the party's Defer: immediate in serial runs,
-			// staged to the canonical barrier position under Workers.
-			rt := e.world.Runtimes[i]
-			onDone = func(int) { rt.Defer(func() { e.refillLanded(rs) }) }
+			onDone = func(int) { e.refillLanded(rs) }
 		}
 		if _, err := e.pools[i].Fill(budget, start, !e.silent[i], onDone); err != nil {
 			if !honest {

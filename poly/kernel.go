@@ -2,7 +2,6 @@ package poly
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/field"
 )
@@ -170,8 +169,7 @@ func (k *Kernel) Interpolate(ys []field.Element) Poly {
 
 // clone returns a kernel sharing the receiver's immutable tables (xs,
 // weights, basis — never written after NewKernel) with private scratch
-// buffers, so several goroutines can each own a clone of one master
-// kernel and interpolate concurrently.
+// buffers, so each party can own a clone of one master kernel.
 func (k *Kernel) clone() *Kernel {
 	m := len(k.xs)
 	return &Kernel{
@@ -184,14 +182,14 @@ func (k *Kernel) clone() *Kernel {
 	}
 }
 
-// KernelRegistry is the world-wide master store of kernels: one
-// mutex-guarded build per distinct point set for the lifetime of a
-// World, shared across parties, epochs and background refills. Parties
-// do not interpolate on the masters directly — a Kernel carries mutable
-// scratch — they hold per-party KernelCaches (NewCache) of clones that
-// share the masters' O(m²) precomputed tables.
+// KernelRegistry is the world-wide master store of kernels: one build
+// per distinct point set for the lifetime of a World, shared across
+// parties, epochs and background refills. Parties do not interpolate on
+// the masters directly — a Kernel carries mutable scratch — they hold
+// per-party KernelCaches (NewCache) of clones that share the masters'
+// O(m²) precomputed tables. A registry is not safe for concurrent use:
+// a World runs one party handler at a time.
 type KernelRegistry struct {
-	mu      sync.Mutex
 	kernels map[string]*Kernel
 }
 
@@ -201,10 +199,8 @@ func NewKernelRegistry() *KernelRegistry {
 }
 
 // get returns the master kernel for the point set, building it on first
-// use. Safe for concurrent callers.
+// use.
 func (r *KernelRegistry) get(key string, xs []field.Element) (*Kernel, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if k, ok := r.kernels[key]; ok {
 		return k, nil
 	}
@@ -216,9 +212,8 @@ func (r *KernelRegistry) get(key string, xs []field.Element) (*Kernel, error) {
 	return k, nil
 }
 
-// NewCache returns a per-party cache backed by this registry: local
-// lookups are map probes with no locking, misses take the registry
-// mutex once and clone the master (sharing its precomputed tables).
+// NewCache returns a per-party cache backed by this registry: misses
+// clone the registry's master (sharing its precomputed tables).
 func (r *KernelRegistry) NewCache() *KernelCache {
 	return &KernelCache{kernels: make(map[string]*Kernel), reg: r}
 }

@@ -95,12 +95,6 @@ type NetworkSpec struct {
 	// disables bursts; 0 < BurstDown < BurstPeriod otherwise.
 	BurstPeriod int64 `json:"burstPeriod,omitempty"`
 	BurstDown   int64 `json:"burstDown,omitempty"`
-	// Workers sets the intra-tick worker-pool size: the parties'
-	// per-tick computations run concurrently with all effects merged
-	// in canonical order at a per-tick barrier, so reports are
-	// bit-identical to serial at every pool size. 0 (the default)
-	// keeps the single-threaded loop.
-	Workers int `json:"workers,omitempty"`
 }
 
 // AdversarySpec describes the static corruption strategy. Passive,
@@ -297,9 +291,6 @@ func (m *Manifest) Validate() error {
 			return bad("network bursts need 0 < burstDown < burstPeriod, have down=%d period=%d",
 				m.Network.BurstDown, m.Network.BurstPeriod)
 		}
-	}
-	if m.Network.Workers < 0 {
-		return bad("network.workers must be >= 0, have %d", m.Network.Workers)
 	}
 	if err := m.validateAdversary(); err != nil {
 		return err

@@ -100,7 +100,6 @@ func (m *Manifest) engineConfig() (mpc.Config, *mpc.Adversary) {
 		BurstDown:   m.Network.BurstDown,
 		SyncOnly:    m.SyncOnly,
 		EventLimit:  m.EventLimit,
-		Workers:     m.Network.Workers,
 	}, adv
 }
 
@@ -161,22 +160,6 @@ type RunOptions struct {
 	// Wire, when non-nil, receives the physical wire accounting of the
 	// run (zeros on the simulator backend).
 	Wire *transport.WireStats
-	// Workers overrides the manifest's network.workers pool size:
-	// > 0 forces that pool size, -1 forces the serial loop, 0 keeps
-	// the manifest's setting. Reports are bit-identical either way —
-	// this is an execution knob, not part of the scenario identity.
-	Workers int
-}
-
-// applyWorkers resolves a CLI/API workers override against the
-// manifest-derived config.
-func applyWorkers(cfg *mpc.Config, override int) {
-	switch {
-	case override > 0:
-		cfg.Workers = override
-	case override < 0:
-		cfg.Workers = 0
-	}
 }
 
 // RunWith is the full-control one-shot runner behind Run/RunTraced:
@@ -187,7 +170,6 @@ func RunWith(m *Manifest, opt RunOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	applyWorkers(&art.Cfg, opt.Workers)
 	eng, err := mpc.NewEngineOpts(art.Cfg, mpc.EngineOptions{
 		Adversary: art.Adversary,
 		Tracer:    opt.Tracer,

@@ -158,6 +158,11 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	if _, err := Load(data); err == nil || !strings.Contains(err.Error(), "nmae") {
 		t.Fatalf("want an unknown-field error, got %v", err)
 	}
+	// The serial event loop has no worker-pool knob.
+	data = bytes.Replace(cheap(t).JSON(), []byte(`"network": {`), []byte(`"network": {"workers": 4, `), 1)
+	if _, err := Load(data); err == nil || !strings.Contains(err.Error(), "workers") {
+		t.Fatalf("want an unknown-field error for a workers key under network, got %v", err)
+	}
 }
 
 func TestLoadFileExamples(t *testing.T) {

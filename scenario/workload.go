@@ -214,12 +214,6 @@ type WorkloadRunOptions struct {
 	// Wire, when non-nil, receives the physical wire accounting of the
 	// session engine (zeros on the simulator backend).
 	Wire *transport.WireStats
-	// Workers overrides the manifest's network.workers pool size:
-	// > 0 forces that pool size, -1 forces the serial loop, 0 keeps
-	// the manifest's setting. Like the Transport backend, Workers is
-	// deliberately NOT part of the checkpoint identity — reports are
-	// bit-identical at every pool size.
-	Workers int
 }
 
 // RunWorkload executes a workload manifest: one engine, one (or more,
@@ -271,7 +265,6 @@ func RunWorkloadOpts(m *Manifest, opt WorkloadRunOptions) (*WorkloadReport, erro
 	}
 	cfg, adv := m.engineConfig()
 	cfg.PerGateEval = opt.PerGateEval
-	applyWorkers(&cfg, opt.Workers)
 	if depth > 0 {
 		cfg.RefillLowWater = m.Workload.RefillLowWater
 		cfg.RefillBudget = m.Workload.RefillBudget
