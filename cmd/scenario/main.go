@@ -199,7 +199,7 @@ func cmdTrace(args []string) {
 	col := obs.NewCollector()
 	pass := true
 	if m.Workload != nil {
-		rep, err := scenario.RunWorkloadTraced(m, false, col)
+		rep, err := scenario.RunWorkloadOpts(m, scenario.WorkloadRunOptions{Tracer: col})
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -207,7 +207,7 @@ func cmdTrace(args []string) {
 		fmt.Printf("workload %s: %d evals, pool %d/%d used\n",
 			rep.Name, len(rep.Steps), rep.TriplesConsumed, rep.TriplesGenerated)
 	} else {
-		rep, err := scenario.RunTraced(m, col)
+		rep, err := scenario.RunWith(m, scenario.RunOptions{Tracer: col})
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -235,7 +235,7 @@ func cmdWorkload(args []string) {
 	fs := flag.NewFlagSet("scenario workload", flag.ExitOnError)
 	file := fs.String("f", "", "run workload manifests from a JSON `file` instead of builtins")
 	all := fs.Bool("all", false, "run every builtin workload")
-	compare := fs.Bool("compare", true, "also run each step as an independent one-shot mpc.Run and report the amortization ratio")
+	compare := fs.Bool("compare", true, "also run each step as an independent one-shot mpc.RunOpts and report the amortization ratio")
 	requireSavings := fs.Bool("require-savings", false, "fail unless amortized msgs/eval beats the one-shot msgs/eval (implies -compare)")
 	jsonOut := fs.Bool("json", false, "emit reports as JSON")
 	trace := fs.Bool("trace", false, "trace each workload and print its timeline summary")
@@ -464,7 +464,7 @@ func cmdFuzz(args []string) {
 		if err != nil {
 			fatal("%v", err)
 		}
-		v := fuzzer.ReplayTraced(m, tr)
+		v := fuzzer.Check(m, tr)
 		if col != nil {
 			if *trace && !*jsonOut {
 				fmt.Print(obs.Summarize(col.Events(), traceDelta(m)).String())
@@ -798,7 +798,7 @@ func cmdRun(args []string) {
 		results := make([]scenario.SweepResult, 0, len(ms))
 		for _, m := range ms {
 			col := obs.NewCollector()
-			rep, err := scenario.RunTraced(m, col)
+			rep, err := scenario.RunWith(m, scenario.RunOptions{Tracer: col})
 			results = append(results, scenario.SweepResult{Manifest: m, Report: rep, Err: err})
 			if err != nil {
 				continue

@@ -45,6 +45,17 @@ func TestVerbDispatch(t *testing.T) {
 	if err := os.WriteFile(badManifest, []byte(`{"name":"x"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	replayManifest := filepath.Join(t.TempDir(), "replay.json")
+	replay := `{
+  "name": "replay-sum",
+  "parties": {"n": 5, "ts": 1, "ta": 1},
+  "network": {"kind": "sync", "delta": 10},
+  "circuit": {"family": "sum"},
+  "seed": 1
+}`
+	if err := os.WriteFile(replayManifest, []byte(replay), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	tests := []struct {
 		name     string
 		args     []string
@@ -69,6 +80,8 @@ func TestVerbDispatch(t *testing.T) {
 		{"fuzz rejects positional args", []string{"fuzz", "extra"}, 1, "", "no positional arguments"},
 		{"fuzz bad inject", []string{"fuzz", "-inject", "nope"}, 1, "", "unknown -inject mode"},
 		{"fuzz replay missing file", []string{"fuzz", "-replay", "/no/such/file.json"}, 1, "", "no such file"},
+		{"fuzz replay traced", []string{"fuzz", "-replay", replayManifest, "-trace"}, 0, "replay replay-sum: ok", ""},
+		{"fuzz replay traced summary", []string{"fuzz", "-replay", replayManifest, "-trace"}, 0, "per-family delivery latency", ""},
 		{"workload needs names", []string{"workload"}, 2, "", "Usage of scenario workload"},
 		{"workload unknown name", []string{"workload", "no-such-workload"}, 1, "", "no builtin workload named"},
 		{"workload all-and-names conflict", []string{"workload", "--all", "workload-refill-sync"}, 1, "", "cannot be combined"},

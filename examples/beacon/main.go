@@ -35,7 +35,7 @@ func main() {
 			inputs[i] = field.Random(r)
 		}
 		cfg.Seed = epoch
-		res, err := mpc.Run(cfg, circuit.Sum(n), inputs, adv)
+		res, err := mpc.RunOpts(cfg, mpc.EngineOptions{Adversary: adv}, circuit.Sum(n), inputs)
 		if err != nil {
 			log.Fatalf("epoch %d: %v", epoch, err)
 		}

@@ -36,7 +36,7 @@ func run(name string, cfg mpc.Config, faults []int, starve bool) {
 		return
 	}
 	cfg.EventLimit = 50_000_000
-	res, err := mpc.Run(cfg, circuit.Sum(8), inputs, adv)
+	res, err := mpc.RunOpts(cfg, mpc.EngineOptions{Adversary: adv}, circuit.Sum(8), inputs)
 	if err != nil {
 		fmt.Printf("%-34s | %-5s | %d faults | FAILED: %v\n", name, cfg.Network, len(faults), err)
 		return

@@ -27,11 +27,11 @@ func main() {
 			Seed:    42,
 		}
 
-		sum, err := mpc.Run(cfg, circuit.Sum(8), inputs, nil)
+		sum, err := mpc.RunOpts(cfg, mpc.EngineOptions{}, circuit.Sum(8), inputs)
 		if err != nil {
 			log.Fatalf("%v run failed: %v", network, err)
 		}
-		prod, err := mpc.Run(cfg, circuit.Product(8), inputs, nil)
+		prod, err := mpc.RunOpts(cfg, mpc.EngineOptions{}, circuit.Product(8), inputs)
 		if err != nil {
 			log.Fatalf("%v run failed: %v", network, err)
 		}

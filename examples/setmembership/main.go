@@ -31,7 +31,7 @@ func main() {
 
 		cfg := mpc.Config{N: n, Ts: 2, Ta: 1, Network: mpc.Async, Seed: 99}
 		adv := &mpc.Adversary{Garble: []int{8}} // holder of the last shard is Byzantine
-		res, err := mpc.Run(cfg, circuit.SetMembership(n), inputs, adv)
+		res, err := mpc.RunOpts(cfg, mpc.EngineOptions{Adversary: adv}, circuit.SetMembership(n), inputs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func main() {
 	cfg := mpc.Config{N: 8, Ts: 2, Ta: 1, Network: mpc.Sync, Seed: 7}
 	adv := &mpc.Adversary{Garble: []int{6}} // hospital 6 is compromised
 
-	res, err := mpc.Run(cfg, circuit.SumAndVariancePieces(8), inputs, adv)
+	res, err := mpc.RunOpts(cfg, mpc.EngineOptions{Adversary: adv}, circuit.SumAndVariancePieces(8), inputs)
 	if err != nil {
 		log.Fatal(err)
 	}

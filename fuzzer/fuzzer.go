@@ -11,7 +11,7 @@
 // (correctness vs clear-text evaluation, termination, agreement,
 // corruption budget, layered-vs-per-gate equality), and any failure is
 // greedily minimized (Shrink) into a counterexample whose manifest
-// replays bit-identically (Replay) — every fuzz failure is a one-line
+// replays bit-identically (Check again) — every fuzz failure is a one-line
 // reproducible regression test, ready to be promoted into the builtin
 // scenario registry (see docs/fuzzing.md).
 package fuzzer
@@ -78,7 +78,7 @@ type Counterexample struct {
 	// Violations is the minimized manifest's verdict.
 	Violations []Violation `json:"violations"`
 	// Manifest is the minimized manifest ("<trial-name>-min"): save it
-	// and re-run with Replay, `scenario fuzz -replay`, or promote it
+	// and re-run it with Check, `scenario fuzz -replay`, or promote it
 	// into the builtin registry.
 	Manifest *scenario.Manifest `json:"manifest"`
 	// Original is the unshrunk generated manifest.
@@ -158,7 +158,7 @@ type trialResult struct {
 func runTrial(opts Options, i int) trialResult {
 	m := Generate(opts.Seed, i)
 	applyInject(m, opts.Inject)
-	v := Check(m)
+	v := Check(m, nil)
 	tr := trialResult{msgs: v.HonestMessages, bytes: v.HonestBytes}
 	if v.OK() {
 		return tr
@@ -167,7 +167,7 @@ func runTrial(opts Options, i int) trialResult {
 	minimized.Name = m.Name + "-min"
 	tr.ce = &Counterexample{
 		Trial:      i,
-		Violations: Check(minimized).Violations,
+		Violations: Check(minimized, nil).Violations,
 		Manifest:   minimized,
 		Original:   m,
 		ShrinkRuns: runs,

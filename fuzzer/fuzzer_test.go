@@ -105,8 +105,8 @@ func TestFuzzDeterministicAcrossPools(t *testing.T) {
 // TestInjectedViolationCaughtShrunkReplayed is the acceptance pipeline
 // end to end: a deliberately over-budget adversary must be caught by
 // the corruption-budget oracle, minimized to exactly budget+1
-// corruptions, emitted as JSON, and reproduced bit-identically by
-// Replay of the saved file.
+// corruptions, emitted as JSON, and reproduced bit-identically by a
+// Check of the saved file.
 func TestInjectedViolationCaughtShrunkReplayed(t *testing.T) {
 	sum := Fuzz(Options{Trials: 3, Seed: 1, Inject: InjectOverBudget})
 	if len(sum.Failed) != 3 {
@@ -127,10 +127,15 @@ func TestInjectedViolationCaughtShrunkReplayed(t *testing.T) {
 		if err := os.WriteFile(path, ce.Manifest.JSON(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		v, err := ReplayFile(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		saved, err := scenario.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := Check(saved, nil)
 		if !reflect.DeepEqual(v.Violations, ce.Violations) {
 			t.Errorf("trial %d: replay verdict %v, want %v", ce.Trial, v.Violations, ce.Violations)
 		}
@@ -143,7 +148,7 @@ func TestInjectedViolationCaughtShrunkReplayed(t *testing.T) {
 func TestShrinkIsGreedyAndDeterministic(t *testing.T) {
 	m := Generate(1, 0)
 	applyInject(m, InjectOverBudget)
-	v := Check(m)
+	v := Check(m, nil)
 	if v.OK() {
 		t.Fatal("injected manifest unexpectedly passed")
 	}
@@ -152,7 +157,7 @@ func TestShrinkIsGreedyAndDeterministic(t *testing.T) {
 	if !bytes.Equal(a.JSON(), b.JSON()) || aRuns != bRuns {
 		t.Fatalf("shrink not deterministic: %d vs %d runs\n%s\nvs\n%s", aRuns, bRuns, a.JSON(), b.JSON())
 	}
-	if !hasOracle(Check(a), v.Primary()) {
+	if !hasOracle(Check(a, nil), v.Primary()) {
 		t.Fatalf("minimized manifest no longer violates %q:\n%s", v.Primary(), a.JSON())
 	}
 }
@@ -173,20 +178,21 @@ func TestCheckPassesOnBuiltins(t *testing.T) {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
-			if v := Check(m); !v.OK() {
+			if v := Check(m, nil); !v.OK() {
 				t.Fatalf("oracle violations on builtin: %+v", v.Violations)
 			}
 		})
 	}
 }
 
-// TestReplayJSONRejectsGarbage: the replay path must reject malformed
-// and unknown-field JSON rather than running something else.
-func TestReplayJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReplayJSON([]byte(`{"nope":1}`)); err == nil {
+// TestReplayParseRejectsGarbage: the replay path (`scenario fuzz
+// -replay` parses the saved file with scenario.Parse) must reject
+// malformed and unknown-field JSON rather than running something else.
+func TestReplayParseRejectsGarbage(t *testing.T) {
+	if _, err := scenario.Parse([]byte(`{"nope":1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	if _, err := ReplayJSON([]byte(`{]`)); err == nil {
+	if _, err := scenario.Parse([]byte(`{]`)); err == nil {
 		t.Fatal("malformed JSON accepted")
 	}
 }

@@ -83,17 +83,19 @@ func (v *Verdict) violate(oracle, format string, args ...any) {
 // Check runs the manifest through the invariant-oracle suite and
 // returns the verdict. It is deterministic: the manifest fully seeds
 // the simulation, so two Checks of one manifest are bit-identical —
-// which is why a saved counterexample replays (Replay).
+// which is why a saved counterexample replays (`scenario fuzz -replay`)
+// and a fuzz failure is a permanent regression test, not a flake.
 //
-// Unlike scenario.Run, Check ignores the manifest's Expect block: the
-// oracles are universally-quantified properties of *every* in-budget
-// run, not per-scenario expectations.
-func Check(m *scenario.Manifest) *Verdict { return checkWith(m, nil) }
-
-// checkWith is Check with a trace sink on the primary (layered) run.
-// The mode-agreement reference run stays untraced: it is a separate
-// world whose events would interleave confusingly with the primary's.
-func checkWith(m *scenario.Manifest, tr obs.Tracer) *Verdict {
+// tr (nil = off) receives the primary (layered) run's event stream, so
+// a counterexample's failure can be inspected on the event timeline
+// (`scenario fuzz -replay ce.json -trace`). The mode-agreement
+// reference run stays untraced: it is a separate world whose events
+// would interleave confusingly with the primary's.
+//
+// Unlike scenario.RunWith, Check ignores the manifest's Expect block:
+// the oracles are universally-quantified properties of *every*
+// in-budget run, not per-scenario expectations.
+func Check(m *scenario.Manifest, tr obs.Tracer) *Verdict {
 	v := &Verdict{Name: m.Name}
 
 	budget := NetworkBudget(m.Parties, m.Network.Kind)
@@ -214,7 +216,7 @@ func runRecovered(cfg mpc.Config, art *scenario.RunArtifacts, tr obs.Tracer) (re
 			res, err = nil, fmt.Errorf("%w: %v", errEnginePanic, r)
 		}
 	}()
-	return mpc.RunTraced(cfg, art.Circuit, art.Inputs, art.Adversary, tr)
+	return mpc.RunOpts(cfg, mpc.EngineOptions{Adversary: art.Adversary, Tracer: tr}, art.Circuit, art.Inputs)
 }
 
 // tickBudget is the termination deadline a trial must meet: the derived

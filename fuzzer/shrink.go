@@ -30,7 +30,7 @@ func Shrink(m *scenario.Manifest, primary string, maxRuns int) (*scenario.Manife
 				return cur, runs
 			}
 			runs++
-			if hasOracle(Check(cand), primary) {
+			if hasOracle(Check(cand, nil), primary) {
 				cur = cand
 				reduced = true
 				break

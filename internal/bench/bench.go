@@ -346,10 +346,10 @@ func E11CirEval(cfg proto.Config, circ *circuit.Circuit, network mpc.Network, se
 	for i := range inputs {
 		inputs[i] = field.New(uint64(i + 1))
 	}
-	res, err := mpc.Run(mpc.Config{
+	res, err := mpc.RunOpts(mpc.Config{
 		N: cfg.N, Ts: cfg.Ts, Ta: cfg.Ta,
 		Network: network, Delta: int64(cfg.Delta), Seed: seed,
-	}, circ, inputs, nil)
+	}, mpc.EngineOptions{}, circ, inputs)
 	m := Measure{}
 	if err != nil {
 		return m
@@ -513,7 +513,7 @@ func E12Matrix(mode MatrixMode, network mpc.Network, faults int, seed uint64) (o
 		inputs[i] = field.New(uint64(i + 1))
 	}
 	circ := circuit.Sum(8)
-	res, err := mpc.Run(cfg, circ, inputs, adv)
+	res, err := mpc.RunOpts(cfg, mpc.EngineOptions{Adversary: adv}, circ, inputs)
 	if err != nil {
 		return false, true
 	}

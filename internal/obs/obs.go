@@ -58,7 +58,7 @@ const (
 	// evaluation. Inst=epoch namespace, A=epoch seq.
 	KEpochRetire
 	// KPhaseBegin: an engine lifecycle phase started. Inst=phase name
-	// ("preprocess", "evaluate", or "run" for a one-shot mpc.Run),
+	// ("preprocess", "evaluate", or "run" for a one-shot mpc.RunOpts),
 	// A=phase sequence (batch or epoch).
 	KPhaseBegin
 	// KPhaseEnd: an engine lifecycle phase completed. Inst=phase name,

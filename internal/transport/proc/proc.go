@@ -1,16 +1,17 @@
-// Package proc implements the transport seam with parties as real
-// goroutines exchanging CRC-framed, length-prefixed messages
-// (wire.FrameWriter) over unix-domain or TCP-loopback sockets.
+// Package proc implements the transport seam with parties exchanging
+// CRC-framed, length-prefixed messages (wire.FrameWriter) over
+// unix-domain or TCP-loopback sockets.
 //
 // The backend is a conservative lockstep design: the shared
 // sim.Scheduler remains the sole time-and-order authority, exactly as
 // in the in-memory simulator, and message bytes additionally make a
 // physical round trip through the OS socket layer. Send executes the
-// full simulator semantics synchronously in whichever goroutine calls
-// it — interceptor for corrupt senders, metrics, policy delay drawn
-// from the shared network RNG, KSend trace, typed delivery event — so
-// the RNG consumption order, metrics, traces and the virtual schedule
-// are bit-identical to the simulator's. Honest cross-party envelopes
+// full simulator semantics synchronously in the coordinator (the
+// goroutine running the scheduler) — interceptor for corrupt senders,
+// metrics, policy delay drawn from the shared network RNG, KSend
+// trace, typed delivery event — so the RNG consumption order, metrics,
+// traces and the virtual schedule are bit-identical to the
+// simulator's. Honest cross-party envelopes
 // are also encoded as a CRC frame, tagged with the link's send
 // sequence number, and queued for the link's writer goroutine to put
 // on the (from -> to) socket — Send never blocks on a socket, so a
@@ -19,12 +20,13 @@
 // the delivery event, the coordinator awaits that exact frame off the
 // wire (per-link reader goroutines assign arrival indices; socket FIFO
 // makes arrival order equal send order), verifies it matches the
-// scheduled envelope, and hands it to the addressee's party goroutine
-// over an unbuffered rendezvous. The rendezvous is
-// what makes the lockstep race-clean: while a party goroutine runs a
-// handler the coordinator is blocked, so every access to the
-// scheduler, RNG, metrics and link state is serialized with
-// happens-before edges through the channels.
+// scheduled envelope, and dispatches it into the addressee's runtime
+// inline. Every handler therefore runs on the coordinator goroutine,
+// exactly as in the simulator's single event loop, so every access to
+// the scheduler, RNG, metrics and link state is serialized without
+// any hand-off. Only the per-link reader and writer goroutines run
+// beside it, and they touch nothing but their sockets, channels,
+// queues, the atomic wire counters and the fault latch.
 //
 // Self-sends and corrupt senders' traffic (including interceptor
 // output, whose envelopes the adversary may have rewritten) are
@@ -157,14 +159,6 @@ type link struct {
 	outBell chan struct{}
 }
 
-// party is one party's goroutine rendezvous: the coordinator pushes a
-// delivered envelope on cmds and blocks on done until the handler
-// returns.
-type party struct {
-	cmds chan sim.Envelope
-	done chan struct{}
-}
-
 // Transport is the socket-backed transport backend. It implements
 // transport.Transport and transport.WireMeter.
 type Transport struct {
@@ -184,7 +178,6 @@ type Transport struct {
 	addrs     []string // resolved listen addresses, 1-based at [i-1]
 	listeners []net.Listener
 	links     [][]*link // [from][to]; nil on and outside the mesh
-	procs     []*party  // 1-based
 
 	framesOut atomic.Uint64
 	bytesOut  atomic.Uint64
@@ -226,7 +219,6 @@ func newTransport(n int, sched *sim.Scheduler, policy sim.Policy, rng *rand.Rand
 		addrs:     make([]string, n),
 		listeners: make([]net.Listener, n+1),
 		links:     make([][]*link, n+1),
-		procs:     make([]*party, n+1),
 		closedCh:  make(chan struct{}),
 		failCh:    make(chan struct{}),
 	}
@@ -246,12 +238,6 @@ func newTransport(n int, sched *sim.Scheduler, policy sim.Policy, rng *rand.Rand
 	if err := t.bringup(opts); err != nil {
 		t.Close()
 		return nil, err
-	}
-	for i := 1; i <= n; i++ {
-		p := &party{cmds: make(chan sim.Envelope), done: make(chan struct{})}
-		t.procs[i] = p
-		t.wg.Add(1)
-		go t.partyLoop(p)
 	}
 	for from := 1; from <= n; from++ {
 		for to := 1; to <= n; to++ {
@@ -375,20 +361,6 @@ func (t *Transport) dialPeer(from, to int, opts Options, deadline time.Time) err
 	return nil
 }
 
-// partyLoop is one party's goroutine: it dispatches each delivered
-// envelope into the party's runtime and releases the coordinator. The
-// handler may itself call Send — safe, because the coordinator is
-// blocked on done for the duration, so the lockstep invariant holds.
-func (t *Transport) partyLoop(p *party) {
-	defer t.wg.Done()
-	for env := range p.cmds {
-		if d := t.parties[env.To]; d != nil {
-			d.Dispatch(env)
-		}
-		p.done <- struct{}{}
-	}
-}
-
 // readLoop drains the (from -> to) receiver endpoint, tagging frames
 // with arrival indices (socket FIFO makes arrival order equal send
 // order, so index k is the k-th frame sent on the link).
@@ -421,9 +393,8 @@ func (t *Transport) readLoop(from, to int, l *link) {
 // Send transmits env with the exact simulator semantics (interceptor,
 // metrics, policy delay from the shared RNG, trace, typed delivery
 // event); honest cross-party envelopes additionally go on the wire.
-// It runs under the lockstep: either in the coordinator (timers,
-// harness setup) or in a party goroutine while the coordinator is
-// blocked on its rendezvous.
+// It runs under the lockstep, in the coordinator: from timers, harness
+// setup, or a handler that DispatchDelivered is running.
 func (t *Transport) Send(env sim.Envelope) {
 	if env.To < 1 || env.To > t.n {
 		panic(fmt.Sprintf("proc: send to party %d out of range", env.To))
@@ -538,8 +509,9 @@ func (t *Transport) writeLoop(from, to int, l *link) {
 // DispatchDelivered implements sim.DeliverSink: the scheduler fires a
 // delivery event in the coordinator goroutine; wire-backed deliveries
 // (tag != 0) first await their frame off the socket, then the envelope
-// crosses the rendezvous into the addressee's party goroutine. After
-// the first fault every delivery is skipped so the run drains.
+// is dispatched into the addressee's runtime in the same goroutine.
+// The handler may itself call Send. After the first fault every
+// delivery is skipped so the run drains.
 func (t *Transport) DispatchDelivered(env sim.Envelope, tag uint64) {
 	if t.failed() || t.closed.Load() {
 		return
@@ -557,13 +529,9 @@ func (t *Transport) DispatchDelivered(env sim.Envelope, tag uint64) {
 		// Dispatch the envelope that physically crossed the wire.
 		env = got
 	}
-	p := t.procs[env.To]
-	select {
-	case p.cmds <- env:
-	case <-t.closedCh:
-		return
+	if d := t.parties[env.To]; d != nil {
+		d.Dispatch(env)
 	}
-	<-p.done
 }
 
 // awaitFrame blocks until the tag-th frame sent on (from -> to) has
@@ -689,8 +657,8 @@ func (t *Transport) WireStats() transport.WireStats {
 }
 
 // Close tears down the socket mesh and joins every transport
-// goroutine. Idempotent; must be called from the coordinator (no
-// delivery rendezvous in flight), which is where harnesses run.
+// goroutine. Idempotent; must be called from the coordinator between
+// deliveries, which is where harnesses run.
 func (t *Transport) Close() error {
 	t.closeOnce.Do(func() {
 		t.closed.Store(true)
@@ -712,11 +680,6 @@ func (t *Transport) Close() error {
 				if l.rconn != nil {
 					l.rconn.Close()
 				}
-			}
-		}
-		for i := 1; i <= t.n; i++ {
-			if p := t.procs[i]; p != nil {
-				close(p.cmds)
 			}
 		}
 		t.wg.Wait()

@@ -5,7 +5,7 @@
 //
 //   - sim.Network — the deterministic in-memory reference: envelopes
 //     never leave the process, delivery is a typed scheduler event.
-//   - transport/proc — parties as goroutines speaking CRC-framed,
+//   - transport/proc — parties speaking CRC-framed,
 //     length-prefixed messages (wire.FrameWriter) over unix-domain or
 //     TCP-loopback sockets, with the shared virtual-time scheduler as
 //     the order authority, so a fixed seed replays the simulator's

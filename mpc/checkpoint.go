@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 
-	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/triples"
 )
@@ -241,35 +240,20 @@ func matchConfig(field string, have, want any) error {
 	return nil
 }
 
-// RestoreEngine reads a checkpoint written by Snapshot and rebuilds the
-// engine under cfg, which must equal the checkpointed config
-// (ErrCheckpointConfig otherwise — a checkpoint is only meaningful on
-// the world it was captured from). The restored engine resumes the
-// session bit-identically: the same sequence of Evaluate calls yields
-// the same outputs, CS sets, traffic and tick figures as the engine
-// that never stopped.
-func RestoreEngine(cfg Config, r io.Reader) (*Engine, error) {
-	return RestoreEngineTraced(cfg, nil, nil, r)
-}
-
-// RestoreEngineAdv is RestoreEngine for a session with a static
-// adversary; adv must equal the checkpointed adversary.
-func RestoreEngineAdv(cfg Config, adv *Adversary, r io.Reader) (*Engine, error) {
-	return RestoreEngineTraced(cfg, adv, nil, r)
-}
-
-// RestoreEngineTraced is RestoreEngineAdv with a trace sink for the
-// resumed session (pre-crash events are gone — tracing starts at the
-// restore point). tr may be nil.
-func RestoreEngineTraced(cfg Config, adv *Adversary, tr obs.Tracer, r io.Reader) (*Engine, error) {
-	return RestoreEngineOpts(cfg, EngineOptions{Adversary: adv, Tracer: tr}, r)
-}
-
-// RestoreEngineOpts is the general restore constructor: a checkpoint
-// identifies an engine by Config plus Adversary only, so the same
-// checkpoint may be restored onto any transport backend — the session
-// resumes bit-identically on the virtual clock whether the resumed
-// traffic crosses the in-memory simulator or real sockets.
+// RestoreEngineOpts reads a checkpoint written by Snapshot and rebuilds
+// the engine under cfg and opts. cfg and opts.Adversary must equal the
+// checkpointed config and adversary (ErrCheckpointConfig otherwise — a
+// checkpoint is only meaningful on the world it was captured from). The
+// restored engine resumes the session bit-identically: the same
+// sequence of Evaluate calls yields the same outputs, CS sets, traffic
+// and tick figures as the engine that never stopped.
+//
+// A checkpoint identifies an engine by Config plus Adversary only, so
+// the same checkpoint may be restored onto any transport backend — the
+// session resumes bit-identically on the virtual clock whether the
+// resumed traffic crosses the in-memory simulator or real sockets. A
+// Tracer receives the resumed session's events (pre-crash events are
+// gone — tracing starts at the restore point).
 func RestoreEngineOpts(cfg Config, opts EngineOptions, r io.Reader) (*Engine, error) {
 	p, err := readCheckpoint(r)
 	if err != nil {
@@ -354,7 +338,7 @@ type CheckpointInfo struct {
 
 // InspectCheckpoint decodes a checkpoint stream's summary without
 // restoring an engine. It shares the read path (and error taxonomy)
-// with RestoreEngine but skips the config comparison: inspection has
+// with RestoreEngineOpts but skips the config comparison: inspection has
 // no caller-side config to compare against.
 func InspectCheckpoint(r io.Reader) (*CheckpointInfo, error) {
 	p, err := readCheckpoint(r)

@@ -18,7 +18,7 @@ import (
 // its checkpoint bytes.
 func snapshotEngine(t *testing.T, cfg Config, k, evalsBefore int) (*Engine, []byte) {
 	t.Helper()
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func snapshotEngine(t *testing.T, cfg Config, k, evalsBefore int) (*Engine, []by
 func TestCheckpointRoundTrip(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 7)
 	eng, ck := snapshotEngine(t, cfg, 4, 2)
-	restored, err := RestoreEngine(cfg, bytes.NewReader(ck))
+	restored, err := RestoreEngineOpts(cfg, EngineOptions{}, bytes.NewReader(ck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +80,17 @@ func TestCheckpointDoubleRestore(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 11)
 	_, ck := snapshotEngine(t, cfg, 2, 1)
 	start := time.Now()
-	a, err := RestoreEngine(cfg, bytes.NewReader(ck))
+	a, err := RestoreEngineOpts(cfg, EngineOptions{}, bytes.NewReader(ck))
 	if err != nil {
 		t.Fatal(err)
 	}
 	restoreTime := time.Since(start)
-	b, err := RestoreEngine(cfg, bytes.NewReader(ck))
+	b, err := RestoreEngineOpts(cfg, EngineOptions{}, bytes.NewReader(ck))
 	if err != nil {
 		t.Fatal(err)
 	}
 	circ := circuit.Product(cfg.N)
-	fresh, err := NewEngine(cfg)
+	fresh, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestCheckpointDoubleRestore(t *testing.T) {
 func TestCheckpointRestoreThenRefill(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 13)
 	eng, ck := snapshotEngine(t, cfg, 1, 1) // budget for exactly 1 eval, already served
-	restored, err := RestoreEngine(cfg, bytes.NewReader(ck))
+	restored, err := RestoreEngineOpts(cfg, EngineOptions{}, bytes.NewReader(ck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCheckpointRestoreThenRefill(t *testing.T) {
 func TestCheckpointAdversarySession(t *testing.T) {
 	cfg := engCfg(8, 2, 1, 3)
 	adv := &Adversary{Garble: []int{3}, Silent: []int{6}}
-	eng, err := NewEngineAdv(cfg, adv)
+	eng, err := NewEngineOpts(cfg, EngineOptions{Adversary: adv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +175,10 @@ func TestCheckpointAdversarySession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := RestoreEngine(cfg, bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCheckpointConfig) {
+	if _, err := RestoreEngineOpts(cfg, EngineOptions{}, bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCheckpointConfig) {
 		t.Fatalf("restore without the adversary: %v, want ErrCheckpointConfig", err)
 	}
-	restored, err := RestoreEngineAdv(cfg, adv, bytes.NewReader(buf.Bytes()))
+	restored, err := RestoreEngineOpts(cfg, EngineOptions{Adversary: adv}, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +196,13 @@ func TestCheckpointAdversarySession(t *testing.T) {
 }
 
 // TestCheckpointTruncated feeds every strictly-shorter prefix class of
-// a valid stream to RestoreEngine: all must fail with
+// a valid stream to RestoreEngineOpts: all must fail with
 // ErrBadCheckpoint, never panic, never succeed.
 func TestCheckpointTruncated(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 5)
 	_, ck := snapshotEngine(t, cfg, 1, 0)
 	for _, n := range []int{0, 3, 6, 8, 11, 12, len(ck) / 2, len(ck) - 4, len(ck) - 1} {
-		if _, err := RestoreEngine(cfg, bytes.NewReader(ck[:n])); !errors.Is(err, ErrBadCheckpoint) {
+		if _, err := RestoreEngineOpts(cfg, EngineOptions{}, bytes.NewReader(ck[:n])); !errors.Is(err, ErrBadCheckpoint) {
 			t.Errorf("prefix of %d bytes: %v, want ErrBadCheckpoint", n, err)
 		}
 	}
@@ -218,7 +218,7 @@ func TestCheckpointCorrupted(t *testing.T) {
 	for _, pos := range positions {
 		mut := append([]byte(nil), ck...)
 		mut[pos] ^= 0x41
-		_, err := RestoreEngine(cfg, bytes.NewReader(mut))
+		_, err := RestoreEngineOpts(cfg, EngineOptions{}, bytes.NewReader(mut))
 		if err == nil {
 			t.Errorf("flip at %d restored successfully", pos)
 			continue
@@ -237,7 +237,7 @@ func TestCheckpointVersionSkew(t *testing.T) {
 	_, ck := snapshotEngine(t, cfg, 1, 0)
 	mut := append([]byte(nil), ck...)
 	binary.BigEndian.PutUint16(mut[6:8], CheckpointVersion+1)
-	_, err := RestoreEngine(cfg, bytes.NewReader(mut))
+	_, err := RestoreEngineOpts(cfg, EngineOptions{}, bytes.NewReader(mut))
 	if !errors.Is(err, ErrCheckpointVersion) {
 		t.Fatalf("version skew: %v, want ErrCheckpointVersion", err)
 	}
@@ -255,7 +255,7 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	_, ck := snapshotEngine(t, cfg, 1, 0)
 	other := cfg
 	other.Seed = cfg.Seed + 1
-	_, err := RestoreEngine(other, bytes.NewReader(ck))
+	_, err := RestoreEngineOpts(other, EngineOptions{}, bytes.NewReader(ck))
 	if !errors.Is(err, ErrCheckpointConfig) {
 		t.Fatalf("seed mismatch: %v, want ErrCheckpointConfig", err)
 	}
@@ -263,7 +263,7 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	if !errors.As(err, &cm) || cm.Field != "config" {
 		t.Fatalf("seed mismatch error %v, want *ConfigMismatchError on config", err)
 	}
-	if _, err := RestoreEngineAdv(cfg, &Adversary{Silent: []int{2}}, bytes.NewReader(ck)); !errors.Is(err, ErrCheckpointConfig) {
+	if _, err := RestoreEngineOpts(cfg, EngineOptions{Adversary: &Adversary{Silent: []int{2}}}, bytes.NewReader(ck)); !errors.Is(err, ErrCheckpointConfig) {
 		t.Fatalf("adversary mismatch: %v, want ErrCheckpointConfig", err)
 	}
 }
@@ -274,7 +274,7 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 func TestSnapshotMidFill(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 5)
 	cfg.EventLimit = 500 // far below a n=5 fill's event count
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestSnapshotMidFill(t *testing.T) {
 // events remain.
 func TestSnapshotMidEvaluate(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 5)
-	ref, err := NewEngine(cfg)
+	ref, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestSnapshotMidEvaluate(t *testing.T) {
 
 	cut := cfg
 	cut.EventLimit = (afterPP + afterEval) / 2
-	eng, err := NewEngine(cut)
+	eng, err := NewEngineOpts(cut, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestInspectCheckpoint(t *testing.T) {
 // panic, never return an untyped error.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	cfg := Config{N: 5, Ts: 1, Ta: 1, Network: Sync, Seed: 7}
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		restored, err := RestoreEngine(cfg, bytes.NewReader(data))
+		restored, err := RestoreEngineOpts(cfg, EngineOptions{}, bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrBadCheckpoint) && !errors.Is(err, ErrCheckpointVersion) && !errors.Is(err, ErrCheckpointConfig) {
 				t.Fatalf("untyped restore error: %v", err)
@@ -393,7 +393,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		if err := restored.Snapshot(&buf); err != nil {
 			t.Fatalf("re-snapshot of accepted checkpoint failed: %v", err)
 		}
-		if _, err := RestoreEngine(cfg, bytes.NewReader(buf.Bytes())); err != nil {
+		if _, err := RestoreEngineOpts(cfg, EngineOptions{}, bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatalf("re-restore of accepted checkpoint failed: %v", err)
 		}
 	})

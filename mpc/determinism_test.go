@@ -26,7 +26,7 @@ func TestRunDeterminism(t *testing.T) {
 	}
 
 	run := func() *Result {
-		res, err := Run(cfg, circ, inputs, adv)
+		res, err := RunOpts(cfg, EngineOptions{Adversary: adv}, circ, inputs)
 		if err != nil {
 			t.Fatalf("run failed: %v", err)
 		}
@@ -59,12 +59,12 @@ func TestRunSeedSensitivity(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = field.New(uint64(i + 1))
 	}
-	a, err := Run(cfg, circ, inputs, nil)
+	a, err := RunOpts(cfg, EngineOptions{}, circ, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 2
-	b, err := Run(cfg, circ, inputs, nil)
+	b, err := RunOpts(cfg, EngineOptions{}, circ, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ var (
 //
 // The paper's offline/online split makes ΠPreProcessing a producer of
 // circuit-independent Beaver triples that the online phase merely
-// consumes — yet the one-shot Run tears its World down after a single
+// consumes — yet the one-shot RunOpts tears its World down after a single
 // evaluation, re-paying VSS/ACS-heavy preprocessing per request. An
 // Engine keeps the World: Preprocess runs one budgeted ΠPreProcessing
 // batch filling a per-party triple Pool, and each Evaluate reserves
@@ -160,28 +160,46 @@ type EngineStats struct {
 	Evals []EvalSummary `json:"evals,omitempty"`
 }
 
-// NewEngine assembles an all-honest session engine. The engine world is
-// deterministic in cfg.Seed across the whole session: the same sequence
-// of Preprocess and Evaluate calls replays bit-for-bit.
-func NewEngine(cfg Config) (*Engine, error) { return NewEngineAdv(cfg, nil) }
-
-// NewEngineAdv is NewEngine with a static adversary, corrupting the
-// session's world exactly as Run's adversary corrupts a one-shot run.
-func NewEngineAdv(cfg Config, adv *Adversary) (*Engine, error) {
-	return newEngine(cfg, adv, nil, nil)
+// EngineOptions bundles everything orthogonal to the protocol Config
+// that an engine can be assembled with. The zero value is an
+// all-honest, untraced engine on the in-memory simulator.
+type EngineOptions struct {
+	// Adversary is the session's static adversary (nil = all honest).
+	Adversary *Adversary
+	// Tracer receives the full typed event stream (scheduler ticks,
+	// sends/delivers, instance lifecycle, pool accounting, engine
+	// phases); nil disables tracing. Tracing does not perturb the
+	// simulation, and the stream is identical across backends for the
+	// same seed.
+	Tracer obs.Tracer
+	// Transport selects the message-plane backend; nil means the
+	// in-memory simulator.
+	Transport *TransportSpec
 }
 
-// NewEngineTraced is NewEngineAdv with a trace sink: tr receives the
-// full typed event stream (scheduler ticks, sends/delivers, instance
-// lifecycle, pool accounting, engine phases). Tracing does not perturb
-// the simulation — a traced session replays bit-identical to an
-// untraced one. tr may be nil (equivalent to NewEngineAdv).
-func NewEngineTraced(cfg Config, adv *Adversary, tr obs.Tracer) (*Engine, error) {
-	return newEngine(cfg, adv, tr, nil)
+// NewEngineOpts assembles a session engine. The engine world is
+// deterministic in cfg.Seed across the whole session: the same sequence
+// of Preprocess and Evaluate calls replays bit-for-bit. Engines over a
+// real transport hold sockets and goroutines: callers must Close them
+// (Close is a no-op for the simulator backend).
+func NewEngineOpts(cfg Config, opts EngineOptions) (*Engine, error) {
+	f, cleanup, err := opts.Transport.factory(cfg.N)
+	if err != nil {
+		return nil, err
+	}
+	e, err := newEngine(cfg, opts.Adversary, opts.Tracer, f)
+	if err != nil {
+		if cleanup != nil {
+			cleanup()
+		}
+		return nil, err
+	}
+	e.cleanup = cleanup
+	return e, nil
 }
 
 // newEngine validates cfg and assembles the world shared by the session
-// API and the one-shot Run wrapper. factory selects the transport
+// API and the one-shot RunOpts wrapper. factory selects the transport
 // backend (nil = the in-memory simulator).
 func newEngine(cfg Config, adv *Adversary, tr obs.Tracer, factory transport.Factory) (*Engine, error) {
 	if cfg.Workers != 0 {
@@ -413,7 +431,7 @@ func (e *Engine) Stats() EngineStats {
 // phase (or the per-gate reference under Config.PerGateEval), publicly
 // reconstructs the outputs, and retires the epoch's instance namespace.
 // The Result's traffic/event figures are this evaluation's deltas, so
-// they compare directly against a one-shot Run of the same circuit.
+// they compare directly against a one-shot RunOpts of the same circuit.
 //
 // On ErrTriplesExhausted nothing has been consumed and the engine
 // remains fully usable: Preprocess a refill and call Evaluate again.
@@ -577,12 +595,23 @@ func (e *Engine) gridStart() sim.Time {
 	return ((now + d - 1) / d) * d
 }
 
-// runOneShot is Run's legacy body: the full ΠCirEval (input ACS and
-// per-evaluation ΠPreProcessing together) at instance "mpc", time 0, on
-// the engine's freshly assembled world — bit-identical to the pre-
-// engine mpc.Run.
-func (e *Engine) runOneShot(circ *circuit.Circuit, inputs []field.Element) (*Result, error) {
-	e.busy = "Run"
+// OneShot runs the full ΠCirEval once — input ACS and per-evaluation
+// ΠPreProcessing together, at instance "mpc", time 0 — the method
+// behind RunOpts. It must be the freshly assembled engine's first and
+// only protocol activity: the one-shot phase owns the whole "mpc"
+// instance namespace with no epoch bookkeeping, so it cannot be mixed
+// with the Preprocess/Evaluate session lifecycle. Prefer RunOpts; this
+// exists for harnesses that need the engine handle afterwards (wire
+// stats, resolved transport addresses).
+func (e *Engine) OneShot(circ *circuit.Circuit, inputs []field.Element) (*Result, error) {
+	if e.preprocessed || e.evals > 0 || e.oneShot {
+		return nil, errors.New("mpc: OneShot on a used engine (it must be a fresh engine's only activity)")
+	}
+	if len(inputs) != e.cfg.N {
+		return nil, fmt.Errorf("mpc: %d inputs for %d parties", len(inputs), e.cfg.N)
+	}
+	e.oneShot = true
+	e.busy = "OneShot"
 	defer func() { e.busy = "" }()
 	w := e.world
 	res := &Result{

@@ -23,7 +23,7 @@ func engInputs(n int) []field.Element {
 
 // TestEngineDifferential is the PR's acceptance property: K sequential
 // Engine.Evaluate calls produce outputs identical to K independent
-// mpc.Run calls with the same seed, across several builtin circuits and
+// mpc.RunOpts calls with the same seed, across several builtin circuits and
 // both evaluator modes — while the engine's total honest traffic
 // (preprocessing + evaluations) stays below K times the one-shot cost.
 func TestEngineDifferential(t *testing.T) {
@@ -40,7 +40,7 @@ func TestEngineDifferential(t *testing.T) {
 		for name, mk := range circs {
 			cfg := engCfg(5, 1, 1, 42)
 			cfg.PerGateEval = perGate
-			eng, err := NewEngine(cfg)
+			eng, err := NewEngineOpts(cfg, EngineOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func TestEngineDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s perGate=%v round %d: %v", name, perGate, round, err)
 				}
-				ref, err := Run(cfg, mk(), inputs, nil)
+				ref, err := RunOpts(cfg, EngineOptions{}, mk(), inputs)
 				if err != nil {
 					t.Fatalf("%s perGate=%v round %d one-shot: %v", name, perGate, round, err)
 				}
@@ -84,7 +84,7 @@ func TestEngineDifferential(t *testing.T) {
 				t.Errorf("%s perGate=%v: per-evaluation msgs sum to %d, Stats().EvalMessages = %d",
 					name, perGate, engineTotal, st.EvalMessages)
 			}
-			oneShot, err := Run(cfg, mk(), inputs, nil)
+			oneShot, err := RunOpts(cfg, EngineOptions{}, mk(), inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestEngineManyEvaluations(t *testing.T) {
 	const k = 8
 	cfg := engCfg(5, 1, 1, 7)
 	circ := circuit.Product(5)
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestEngineManyEvaluations(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := engInputs(5)
-	ref, err := Run(cfg, circuit.Product(5), inputs, nil)
+	ref, err := RunOpts(cfg, EngineOptions{}, circuit.Product(5), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestEngineManyEvaluations(t *testing.T) {
 func TestEngineExhaustionAndRefill(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 3)
 	circ := circuit.Product(5) // cM = 4
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestEngineExhaustionAndRefill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Evaluate after refill: %v", err)
 	}
-	ref, err := Run(cfg, circuit.Product(5), inputs, nil)
+	ref, err := RunOpts(cfg, EngineOptions{}, circuit.Product(5), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestEngineExhaustionAndRefill(t *testing.T) {
 // recovery must never collide with the double-Preprocess guard.
 func TestEngineRefillAfterImmediateExhaustion(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 13)
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,10 +216,10 @@ func TestEngineMisuse(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 9)
 	withWorkers := cfg
 	withWorkers.Workers = 1
-	if _, err := NewEngine(withWorkers); err == nil || !strings.Contains(err.Error(), "Workers") {
+	if _, err := NewEngineOpts(withWorkers, EngineOptions{}); err == nil || !strings.Contains(err.Error(), "Workers") {
 		t.Fatalf("Config.Workers = 1: want an error, got %v", err)
 	}
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestEngineMisuse(t *testing.T) {
 func TestEngineUnderAdversary(t *testing.T) {
 	cfg := Config{N: 8, Ts: 2, Ta: 1, Network: Sync, Seed: 5}
 	adv := &Adversary{Garble: []int{3}, Silent: []int{6}}
-	eng, err := NewEngineAdv(cfg, adv)
+	eng, err := NewEngineOpts(cfg, EngineOptions{Adversary: adv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestEngineUnderAdversary(t *testing.T) {
 func TestEngineDeterminism(t *testing.T) {
 	trace := func() []uint64 {
 		cfg := engCfg(5, 1, 1, 11)
-		eng, err := NewEngine(cfg)
+		eng, err := NewEngineOpts(cfg, EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,32 +13,31 @@
 // amortized ΠPreProcessing batch (Preprocess) and then drained by many
 // sequential circuit evaluations (Evaluate), each an epoch-namespaced
 // input-ΠACS + online phase — the offline/online split the paper's
-// preprocessing exists for. Run is the retained one-shot convenience
-// wrapper: it evaluates a single circuit on a fresh world, paying the
-// full preprocessing cost for that one evaluation.
+// preprocessing exists for. RunOpts is the retained one-shot
+// convenience wrapper: it evaluates a single circuit on a fresh world,
+// paying the full preprocessing cost for that one evaluation.
 //
 // Engine quickstart:
 //
 //	cfg := mpc.Config{N: 8, Ts: 2, Ta: 1, Network: mpc.Sync, Seed: 1}
-//	eng, _ := mpc.NewEngine(cfg)
+//	eng, _ := mpc.NewEngineOpts(cfg, mpc.EngineOptions{})
 //	eng.Preprocess(64) // one amortized triple-pool fill
 //	circ := circuit.Sum(8)
 //	inputs := []field.Element{1, 2, 3, 4, 5, 6, 7, 8}
 //	res, err := eng.Evaluate(circ, inputs) // repeat per request
 //	// res.Outputs[0] == 36
 //
-// One-shot:
+// One-shot (EngineOptions also carries the adversary, the trace sink
+// and the transport backend):
 //
-//	res, err := mpc.Run(cfg, circ, inputs, nil)
+//	res, err := mpc.RunOpts(cfg, mpc.EngineOptions{}, circ, inputs)
 package mpc
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/circuit"
 	"repro/field"
-	"repro/internal/obs"
 )
 
 // Network selects the simulated network model.
@@ -242,37 +241,31 @@ var ErrNoHonestOutput = errors.New("mpc: no honest party terminated")
 // should never occur within the configured corruption budgets.
 var ErrDisagreement = errors.New("mpc: honest parties disagree on the output")
 
-// Run executes one MPC evaluation of circ where party i's private
-// input is inputs[i-1]. adv may be nil for an all-honest run.
+// RunOpts executes one MPC evaluation of circ where party i's private
+// input is inputs[i-1], with explicit engine options (adversary, trace
+// sink, transport backend; the zero value is an all-honest, untraced
+// run on the in-memory simulator).
 //
-// Run is the one-shot convenience wrapper around the session Engine:
-// it assembles a fresh engine World, runs the full ΠCirEval (input
-// ΠACS and ΠPreProcessing together) once, and tears everything down.
-// A service evaluating many circuits should hold an Engine instead and
-// amortize one Preprocess over its evaluations (see NewEngine).
+// RunOpts is the one-shot convenience wrapper around the session
+// Engine: it assembles a fresh engine World, runs the full ΠCirEval
+// (input ΠACS and ΠPreProcessing together) once, and tears everything
+// down. A service evaluating many circuits should hold an Engine
+// instead and amortize one Preprocess over its evaluations (see
+// NewEngineOpts).
 //
 // Inputs of corrupt parties are still fed to their (honest-code)
 // protocol instances unless the party is Silent; byzantine *protocol*
 // behaviour comes from the Adversary's traffic rewriting, and the
-// network schedule is adversarial under Async.
-func Run(cfg Config, circ *circuit.Circuit, inputs []field.Element, adv *Adversary) (*Result, error) {
-	return RunTraced(cfg, circ, inputs, adv, nil)
-}
-
-// RunTraced is Run with a trace sink: tr (which may be nil) receives
-// the run's full typed event stream — scheduler ticks, message
-// sends/delivers, instance lifecycle, pool accounting. Tracing does
-// not perturb the run: a traced run is bit-identical to an untraced
-// one with the same configuration.
-func RunTraced(cfg Config, circ *circuit.Circuit, inputs []field.Element, adv *Adversary, tr obs.Tracer) (*Result, error) {
-	eng, err := newEngine(cfg, adv, tr, nil)
+// network schedule is adversarial under Async. Tracing does not
+// perturb the run: a traced run is bit-identical to an untraced one
+// with the same configuration.
+func RunOpts(cfg Config, opts EngineOptions, circ *circuit.Circuit, inputs []field.Element) (*Result, error) {
+	eng, err := NewEngineOpts(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	if len(inputs) != cfg.N {
-		return nil, fmt.Errorf("mpc: %d inputs for %d parties", len(inputs), cfg.N)
-	}
-	return eng.runOneShot(circ, inputs)
+	defer eng.Close()
+	return eng.OneShot(circ, inputs)
 }
 
 // ExpectedOutputs evaluates circ in the clear with the inputs of

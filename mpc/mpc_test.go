@@ -25,7 +25,7 @@ func elems(vs ...uint64) []field.Element {
 }
 
 func TestSumSyncAllHonest(t *testing.T) {
-	res, err := Run(cfg5(Sync, 1), circuit.Sum(5), elems(1, 2, 3, 4, 5), nil)
+	res, err := RunOpts(cfg5(Sync, 1), EngineOptions{}, circuit.Sum(5), elems(1, 2, 3, 4, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSumSyncAllHonest(t *testing.T) {
 }
 
 func TestProductSyncAllHonest(t *testing.T) {
-	res, err := Run(cfg5(Sync, 2), circuit.Product(5), elems(2, 3, 4, 5, 6), nil)
+	res, err := RunOpts(cfg5(Sync, 2), EngineOptions{}, circuit.Product(5), elems(2, 3, 4, 5, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestProductSyncAllHonest(t *testing.T) {
 }
 
 func TestProductAsyncAllHonest(t *testing.T) {
-	res, err := Run(cfg5(Async, 3), circuit.Product(5), elems(2, 2, 2, 2, 2), nil)
+	res, err := RunOpts(cfg5(Async, 3), EngineOptions{}, circuit.Product(5), elems(2, 2, 2, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestProductAsyncAllHonest(t *testing.T) {
 func TestSyncWithGarblingAdversary(t *testing.T) {
 	adv := &Adversary{Garble: []int{3}}
 	inputs := elems(1, 2, 3, 4, 5)
-	res, err := Run(cfg5(Sync, 4), circuit.Sum(5), inputs, adv)
+	res, err := RunOpts(cfg5(Sync, 4), EngineOptions{Adversary: adv}, circuit.Sum(5), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSyncWithGarblingAdversary(t *testing.T) {
 func TestSyncWithSilentParty(t *testing.T) {
 	adv := &Adversary{Silent: []int{2}}
 	inputs := elems(10, 99, 30, 40, 50)
-	res, err := Run(cfg5(Sync, 5), circuit.Sum(5), inputs, adv)
+	res, err := RunOpts(cfg5(Sync, 5), EngineOptions{Adversary: adv}, circuit.Sum(5), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestN8TwoFaultsSync(t *testing.T) {
 	// The paper's headline: n = 8 tolerates ts = 2 faults in sync.
 	adv := &Adversary{Garble: []int{2}, Silent: []int{7}}
 	inputs := elems(1, 2, 3, 4, 5, 6, 7, 8)
-	res, err := Run(cfg8(Sync, 6), circuit.Sum(8), inputs, adv)
+	res, err := RunOpts(cfg8(Sync, 6), EngineOptions{Adversary: adv}, circuit.Sum(8), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestN8OneFaultAsync(t *testing.T) {
 	// ... and ta = 1 fault under asynchrony, same protocol.
 	adv := &Adversary{Garble: []int{4}}
 	inputs := elems(1, 2, 3, 4, 5, 6, 7, 8)
-	res, err := Run(cfg8(Async, 7), circuit.Sum(8), inputs, adv)
+	res, err := RunOpts(cfg8(Async, 7), EngineOptions{Adversary: adv}, circuit.Sum(8), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ func TestSyncOnlyBaselineBreaksUnderAsync(t *testing.T) {
 	cfg := cfg5(Async, 8)
 	cfg.SyncOnly = true
 	cfg.EventLimit = 20_000_000
-	_, errBaseline := Run(cfg, circuit.Sum(5), inputs, adv)
+	_, errBaseline := RunOpts(cfg, EngineOptions{Adversary: adv}, circuit.Sum(5), inputs)
 
 	cfgB := cfg5(Async, 8)
-	resB, errB := Run(cfgB, circuit.Sum(5), inputs, adv)
+	resB, errB := RunOpts(cfgB, EngineOptions{Adversary: adv}, circuit.Sum(5), inputs)
 	if errB != nil {
 		t.Fatalf("BoBW engine failed under async: %v", errB)
 	}
@@ -183,24 +183,24 @@ func TestSyncOnlyBaselineBreaksUnderAsync(t *testing.T) {
 }
 
 func TestInputValidation(t *testing.T) {
-	if _, err := Run(Config{N: 7, Ts: 2, Ta: 1, Network: Sync}, circuit.Sum(7), elems(1, 2, 3, 4, 5, 6, 7), nil); err == nil {
+	if _, err := RunOpts(Config{N: 7, Ts: 2, Ta: 1, Network: Sync}, EngineOptions{}, circuit.Sum(7), elems(1, 2, 3, 4, 5, 6, 7)); err == nil {
 		t.Fatal("invalid thresholds accepted")
 	}
-	if _, err := Run(cfg5(Sync, 1), circuit.Sum(5), elems(1, 2), nil); err == nil {
+	if _, err := RunOpts(cfg5(Sync, 1), EngineOptions{}, circuit.Sum(5), elems(1, 2)); err == nil {
 		t.Fatal("wrong input count accepted")
 	}
-	if _, err := Run(Config{N: 5, Ts: 1, Ta: 1, Network: "carrier-pigeon"}, circuit.Sum(5), elems(1, 2, 3, 4, 5), nil); err == nil {
+	if _, err := RunOpts(Config{N: 5, Ts: 1, Ta: 1, Network: "carrier-pigeon"}, EngineOptions{}, circuit.Sum(5), elems(1, 2, 3, 4, 5)); err == nil {
 		t.Fatal("bad network accepted")
 	}
 	adv := &Adversary{Garble: []int{1, 2, 3}}
-	if _, err := Run(cfg5(Sync, 1), circuit.Sum(5), elems(1, 2, 3, 4, 5), adv); err == nil {
+	if _, err := RunOpts(cfg5(Sync, 1), EngineOptions{Adversary: adv}, circuit.Sum(5), elems(1, 2, 3, 4, 5)); err == nil {
 		t.Fatal("over-budget corruption accepted")
 	}
 }
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() *Result {
-		res, err := Run(cfg5(Async, 42), circuit.Sum(5), elems(5, 4, 3, 2, 1), nil)
+		res, err := RunOpts(cfg5(Async, 42), EngineOptions{}, circuit.Sum(5), elems(5, 4, 3, 2, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestMatrixProductN8(t *testing.T) {
 	// entry holder, synchronous network.
 	inputs := elems(1, 2, 3, 4, 5, 6, 7, 8)
 	adv := &Adversary{Garble: []int{6}}
-	res, err := Run(cfg8(Sync, 10), circuit.MatMul2x2(), inputs, adv)
+	res, err := RunOpts(cfg8(Sync, 10), EngineOptions{Adversary: adv}, circuit.MatMul2x2(), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestMatrixProductN8(t *testing.T) {
 
 func TestMultiOutputCircuit(t *testing.T) {
 	inputs := elems(1, 2, 3, 4, 5)
-	res, err := Run(cfg5(Sync, 9), circuit.SumAndVariancePieces(5), inputs, nil)
+	res, err := RunOpts(cfg5(Sync, 9), EngineOptions{}, circuit.SumAndVariancePieces(5), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // returns the per-eval results plus the engine's summaries (by epoch).
 func runSequentialRef(t *testing.T, cfg Config, circ *circuit.Circuit, k int) ([]*Result, []EvalSummary) {
 	t.Helper()
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestPipelineDifferential(t *testing.T) {
 			seqRes, seqSum := runSequentialRef(t, cfg, circ, k)
 
 			for _, depth := range []int{1, 4, 16} {
-				eng, err := NewEngine(cfg)
+				eng, err := NewEngineOpts(cfg, EngineOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -202,7 +202,7 @@ func TestPipelineOverlapSavesTicks(t *testing.T) {
 	circ := circuit.Product(5)
 
 	span := func(depth int) int64 {
-		eng, err := NewEngine(cfg)
+		eng, err := NewEngineOpts(cfg, EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestPipelineOverlapSavesTicks(t *testing.T) {
 func TestPipelineGuards(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 5)
 	circ := circuit.Product(5)
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestPipelineRefillUnderLoad(t *testing.T) {
 	circ := circuit.Product(5)
 	cfg.RefillLowWater = 3 * circ.MulCount
 	cfg.RefillBudget = 8 * circ.MulCount
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestPipelineExhaustionRefillRace(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 29)
 	circ := circuit.Product(5)
 	cfg.RefillLowWater = circ.MulCount
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestPipelineExhaustionRefillRace(t *testing.T) {
 	// Without the watermark, the same exhaustion surfaces the typed
 	// error and leaves the engine fully usable.
 	cfg.RefillLowWater = 0
-	eng2, err := NewEngine(cfg)
+	eng2, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestPipelineExhaustionRefillRace(t *testing.T) {
 // with the reserve that would actually fail.
 func TestAvailableMinAcrossHonest(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 11)
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +483,7 @@ func TestAvailableMinAcrossHonest(t *testing.T) {
 // every sibling reservation already taken must be released.
 func TestReserveAllHonestFailure(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 13)
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestReserveAllHonestFailure(t *testing.T) {
 func TestReserveAllCorruptStandIns(t *testing.T) {
 	cfg := engCfg(5, 1, 1, 17)
 	adv := &Adversary{Garble: []int{5}}
-	eng, err := NewEngineAdv(cfg, adv)
+	eng, err := NewEngineOpts(cfg, EngineOptions{Adversary: adv})
 	if err != nil {
 		t.Fatal(err)
 	}

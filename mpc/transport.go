@@ -7,9 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/circuit"
-	"repro/field"
-	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/transport/proc"
 )
@@ -29,8 +26,9 @@ var ErrTransport = errors.New("mpc: transport fault")
 // deployment concern, not a protocol identity.
 //
 // The zero value (and Kind "sim" or "") is the deterministic in-memory
-// simulator. Kind "unix"/"tcp" runs each party as its own goroutine
-// with honest traffic physically crossing CRC-framed sockets; on a
+// simulator. Kind "unix"/"tcp" gives each party its own socket
+// endpoint, with honest traffic physically crossing CRC-framed sockets
+// while the scheduler's event loop still runs every handler; on a
 // fixed seed every backend produces identical outputs, common subsets,
 // termination times, metrics and traces (the differential guarantee —
 // see docs/deployment.md).
@@ -107,71 +105,9 @@ func (s *TransportSpec) factory(n int) (transport.Factory, func() error, error) 
 	return proc.New(proc.Options{Kind: s.Kind, Addrs: addrs, IOTimeout: s.IOTimeout}), cleanup, nil
 }
 
-// EngineOptions bundles everything orthogonal to the protocol Config
-// that an engine can be assembled with.
-type EngineOptions struct {
-	// Adversary is the session's static adversary (nil = all honest).
-	Adversary *Adversary
-	// Tracer receives the full typed event stream; nil disables
-	// tracing. Identical across backends for the same seed.
-	Tracer obs.Tracer
-	// Transport selects the message-plane backend; nil means the
-	// in-memory simulator.
-	Transport *TransportSpec
-}
-
-// NewEngineOpts assembles a session engine with explicit options — the
-// general constructor behind NewEngine/NewEngineAdv/NewEngineTraced.
-// Engines over a real transport hold sockets and goroutines: callers
-// must Close them (Close is a no-op for the simulator backend).
-func NewEngineOpts(cfg Config, opts EngineOptions) (*Engine, error) {
-	f, cleanup, err := opts.Transport.factory(cfg.N)
-	if err != nil {
-		return nil, err
-	}
-	e, err := newEngine(cfg, opts.Adversary, opts.Tracer, f)
-	if err != nil {
-		if cleanup != nil {
-			cleanup()
-		}
-		return nil, err
-	}
-	e.cleanup = cleanup
-	return e, nil
-}
-
-// RunOpts is the one-shot Run with explicit engine options: it
-// assembles a fresh engine (over any transport backend), runs the full
-// ΠCirEval once, and tears the engine down.
-func RunOpts(cfg Config, opts EngineOptions, circ *circuit.Circuit, inputs []field.Element) (*Result, error) {
-	eng, err := NewEngineOpts(cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	return eng.OneShot(circ, inputs)
-}
-
-// OneShot runs the full ΠCirEval once — the method behind Run and
-// RunOpts. It must be the freshly assembled engine's first and only
-// protocol activity: the one-shot phase owns the whole "mpc" instance
-// namespace with no epoch bookkeeping, so it cannot be mixed with the
-// Preprocess/Evaluate session lifecycle. Prefer Run/RunOpts; this
-// exists for harnesses that need the engine handle afterwards (wire
-// stats, resolved transport addresses).
-func (e *Engine) OneShot(circ *circuit.Circuit, inputs []field.Element) (*Result, error) {
-	if e.preprocessed || e.evals > 0 || e.oneShot {
-		return nil, errors.New("mpc: OneShot on a used engine (it must be a fresh engine's only activity)")
-	}
-	if len(inputs) != e.cfg.N {
-		return nil, fmt.Errorf("mpc: %d inputs for %d parties", len(inputs), e.cfg.N)
-	}
-	e.oneShot = true
-	return e.runOneShot(circ, inputs)
-}
-
-// Close releases the engine's transport resources: sockets and party
-// goroutines for a real backend, nothing for the simulator.
+// Close releases the engine's transport resources: sockets and their
+// reader/writer goroutines for a real backend, nothing for the
+// simulator.
 // Idempotent; the engine must not be used afterwards.
 func (e *Engine) Close() error {
 	err := e.world.Close()

@@ -60,14 +60,14 @@ func TestEngineDifferentialSockets(t *testing.T) {
 }
 
 // TestRunOptsDifferential: the one-shot path over sockets must equal
-// the plain Run.
+// the same run on the simulator.
 func TestRunOptsDifferential(t *testing.T) {
 	cfg := Config{N: 5, Ts: 1, Ta: 1, Network: Async, Seed: 4}
 	circ := circuit.Sum(5)
 	inputs := []field.Element{1, 2, 3, 4, 5}
-	ref, err := Run(cfg, circ, inputs, nil)
+	ref, err := RunOpts(cfg, EngineOptions{}, circ, inputs)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunOpts on the simulator: %v", err)
 	}
 	got, err := RunOpts(cfg, EngineOptions{Transport: &TransportSpec{Kind: "unix"}}, circ, inputs)
 	if err != nil {
@@ -87,7 +87,7 @@ func TestRestoreOntoSockets(t *testing.T) {
 	inputs := []field.Element{2, 7, 1, 8, 2}
 
 	// Uninterrupted reference: preprocess + two evaluations on sim.
-	ref, err := NewEngine(cfg)
+	ref, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestRestoreOntoSockets(t *testing.T) {
 
 	// Interrupted: same session up to the first evaluation, snapshot,
 	// restore onto unix sockets, resume.
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngineOpts(cfg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

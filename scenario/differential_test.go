@@ -33,8 +33,8 @@ func TestCorpusLayeredMatchesPerGate(t *testing.T) {
 			layCfg := art.Cfg
 			refCfg := art.Cfg
 			refCfg.PerGateEval = true
-			lay, layErr := mpc.Run(layCfg, art.Circuit, art.Inputs, art.Adversary)
-			ref, refErr := mpc.Run(refCfg, art.Circuit, art.Inputs, art.Adversary)
+			lay, layErr := mpc.RunOpts(layCfg, mpc.EngineOptions{Adversary: art.Adversary}, art.Circuit, art.Inputs)
+			ref, refErr := mpc.RunOpts(refCfg, mpc.EngineOptions{Adversary: art.Adversary}, art.Circuit, art.Inputs)
 			if (layErr == nil) != (refErr == nil) {
 				t.Fatalf("engine errors differ: layered %v, per-gate %v", layErr, refErr)
 			}

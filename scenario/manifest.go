@@ -5,7 +5,7 @@
 // together with the expected-outcome assertions the run must satisfy.
 //
 // Manifests are validated (Manifest.Validate), loaded from JSON (Load,
-// LoadFile), executed deterministically (Run), and batch-executed on a
+// LoadFile), executed deterministically (RunWith), and batch-executed on a
 // worker pool (Sweep). A registry of built-in scenarios (Builtin,
 // Lookup) spans every circuit family and adversary/network combination,
 // including fallback-trigger and threshold-boundary cases.
@@ -58,7 +58,7 @@ type Manifest struct {
 	Expect Expect `json:"expect"`
 	// Workload, when present, turns the manifest into a session-engine
 	// workload: one mpc.Engine preprocesses a triple budget and then
-	// serves the steps' evaluations in sequence (RunWorkload, the
+	// serves the steps' evaluations in sequence (RunWorkloadOpts, the
 	// `scenario workload` verb). Circuits, inputs and assertions move
 	// into the steps; the top-level Circuit, Inputs and Expect must be
 	// absent.

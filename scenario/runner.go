@@ -12,8 +12,8 @@ import (
 )
 
 // RunArtifacts are the engine-level pieces assembled from a manifest:
-// everything mpc.Run needs. Harnesses that want to drive the engine
-// themselves (cmd/bobw, internal/bench) build these instead of
+// everything mpc.RunOpts needs. Harnesses that want to drive the engine
+// themselves (the fuzzer, internal/bench) build these instead of
 // duplicating config/circuit/adversary assembly.
 type RunArtifacts struct {
 	Cfg     mpc.Config
@@ -29,7 +29,7 @@ func Build(m *Manifest) (*RunArtifacts, error) {
 		return nil, err
 	}
 	if m.Workload != nil {
-		return nil, fmt.Errorf("scenario %q: workload manifest: run it with RunWorkload (the `scenario workload` verb), not Run", m.Name)
+		return nil, fmt.Errorf("scenario %q: workload manifest: run it with RunWorkloadOpts (the `scenario workload` verb), not RunWith", m.Name)
 	}
 	circ, err := m.Circuit.Build(m.Parties.N)
 	if err != nil {
@@ -136,20 +136,8 @@ type Report struct {
 	Events uint64 `json:"events"`
 }
 
-// Run executes the manifest and evaluates its assertions. The returned
-// error covers manifest/assembly problems only; engine errors and
-// assertion failures are reported in the Report.
-func Run(m *Manifest) (*Report, error) { return RunTraced(m, nil) }
-
-// RunTraced is Run with a trace sink receiving the run's typed event
-// stream (nil disables tracing; traced runs are bit-identical to
-// untraced ones).
-func RunTraced(m *Manifest, tr obs.Tracer) (*Report, error) {
-	return RunWith(m, RunOptions{Tracer: tr})
-}
-
-// RunOptions shapes one RunWith call. The zero value reproduces a
-// plain Run(m).
+// RunOptions shapes one RunWith call. The zero value is an untraced
+// run on the in-memory simulator.
 type RunOptions struct {
 	// Tracer receives the run's typed event stream (nil = off).
 	Tracer obs.Tracer
@@ -162,9 +150,12 @@ type RunOptions struct {
 	Wire *transport.WireStats
 }
 
-// RunWith is the full-control one-shot runner behind Run/RunTraced:
-// tracing plus the pluggable transport backend the deployment layer
-// assembles over (docs/deployment.md).
+// RunWith executes a one-shot manifest and evaluates its assertions,
+// with tracing and the pluggable transport backend the deployment
+// layer assembles over (docs/deployment.md). Traced runs are
+// bit-identical to untraced ones. The returned error covers
+// manifest/assembly problems and transport faults only; engine errors
+// and assertion failures are reported in the Report.
 func RunWith(m *Manifest, opt RunOptions) (*Report, error) {
 	art, err := Build(m)
 	if err != nil {

@@ -185,11 +185,11 @@ func TestLoadFileExamples(t *testing.T) {
 // agreement set, virtual times, and the full metrics snapshot).
 func TestRunDeterminism(t *testing.T) {
 	m := cheap(t)
-	a, err := Run(m)
+	a, err := RunWith(m, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(m)
+	b, err := RunWith(m, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestAssertionEngineFailures(t *testing.T) {
 		MaxTicks:       1,
 		MaxHonestBytes: 1,
 	}
-	rep, err := Run(&m)
+	rep, err := RunWith(&m, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

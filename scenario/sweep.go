@@ -69,7 +69,7 @@ func runIsolated(m *Manifest) (sr SweepResult) {
 			sr.Err = fmt.Errorf("scenario %q: run panicked: %v\n%s", name, r, debug.Stack())
 		}
 	}()
-	sr.Report, sr.Err = Run(m)
+	sr.Report, sr.Err = RunWith(m, RunOptions{})
 	return sr
 }
 

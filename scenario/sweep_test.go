@@ -75,7 +75,7 @@ func TestExpandSeedsPreservesBaseOutputs(t *testing.T) {
 }
 
 // TestSweepIsolatesPanic: a manifest whose run panics — here a nil
-// manifest, which panics on the first field access inside Run — must
+// manifest, which panics on the first field access inside RunWith — must
 // surface as that result's Err without killing the worker pool; the
 // healthy manifests around it still produce passing reports.
 func TestSweepIsolatesPanic(t *testing.T) {

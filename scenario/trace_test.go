@@ -29,7 +29,7 @@ func TestTraceDeterministicJSONL(t *testing.T) {
 	var bufs [2]bytes.Buffer
 	for i := range bufs {
 		col := obs.NewCollector()
-		if _, err := RunTraced(m, col); err != nil {
+		if _, err := RunWith(m, RunOptions{Tracer: col}); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		if col.Len() == 0 {
@@ -67,7 +67,7 @@ func TestTraceOnOffDifferential(t *testing.T) {
 					}
 					cfg := art.Cfg
 					cfg.PerGateEval = perGate
-					res, err := mpc.RunTraced(cfg, art.Circuit, art.Inputs, art.Adversary, tr)
+					res, err := mpc.RunOpts(cfg, mpc.EngineOptions{Adversary: art.Adversary, Tracer: tr}, art.Circuit, art.Inputs)
 					if err != nil {
 						t.Fatalf("engine: %v", err)
 					}
@@ -111,12 +111,12 @@ func TestTraceWorkloadDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RunWorkload(m, false)
+	plain, err := RunWorkloadOpts(m, WorkloadRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := obs.NewCollector()
-	traced, err := RunWorkloadTraced(m, false, col)
+	traced, err := RunWorkloadOpts(m, WorkloadRunOptions{Tracer: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestTraceSummaryRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := obs.NewCollector()
-	if _, err := RunTraced(m, col); err != nil {
+	if _, err := RunWith(m, RunOptions{Tracer: col}); err != nil {
 		t.Fatal(err)
 	}
 	sum := obs.Summarize(col.Events(), m.Network.Delta)

@@ -129,7 +129,7 @@ type WorkloadStepReport struct {
 	HonestMessages uint64 `json:"honestMessages"`
 	HonestBytes    uint64 `json:"honestBytes"`
 	Ticks          int64  `json:"ticks"`
-	// OneShotMessages is the honest traffic of an independent mpc.Run
+	// OneShotMessages is the honest traffic of an independent mpc.RunOpts
 	// of the same step (0 when the comparison was not requested).
 	OneShotMessages uint64 `json:"oneShotMessages,omitempty"`
 	// ByFamily breaks the step's honest traffic down by protocol
@@ -139,7 +139,7 @@ type WorkloadStepReport struct {
 	ByFamily map[string]mpc.FamilyCounts `json:"byFamily,omitempty"`
 }
 
-// WorkloadReport is the outcome of RunWorkload: per-step reports plus
+// WorkloadReport is the outcome of RunWorkloadOpts: per-step reports plus
 // the amortization summary the workload exists to measure.
 type WorkloadReport struct {
 	Name string `json:"name"`
@@ -171,11 +171,12 @@ type WorkloadReport struct {
 	Savings            float64 `json:"savings,omitempty"`
 }
 
-// WorkloadRunOptions shapes one RunWorkloadOpts call. The zero value
-// reproduces a plain RunWorkload(m, false).
+// WorkloadRunOptions shapes one RunWorkloadOpts call. The zero value is
+// an untraced, uncompared run on the in-memory simulator at the
+// manifest's pipeline depth.
 type WorkloadRunOptions struct {
 	// Compare additionally runs every step as an independent one-shot
-	// mpc.Run and reports the amortization ratio.
+	// mpc.RunOpts and reports the amortization ratio.
 	Compare bool
 	// Tracer receives the session engine's event stream (nil = off).
 	// The one-shot comparison runs stay untraced — they are reference
@@ -216,30 +217,15 @@ type WorkloadRunOptions struct {
 	Wire *transport.WireStats
 }
 
-// RunWorkload executes a workload manifest: one engine, one (or more,
-// on exhaustion) preprocessing batches, the steps in order. compare
-// additionally runs every step as an independent one-shot mpc.Run and
-// reports the amortization ratio. The returned error covers
-// manifest/assembly problems; engine errors and assertion failures are
-// reported per step.
-func RunWorkload(m *Manifest, compare bool) (*WorkloadReport, error) {
-	return RunWorkloadOpts(m, WorkloadRunOptions{Compare: compare})
-}
-
-// RunWorkloadTraced is RunWorkload with a trace sink on the session
-// engine: tr receives the whole session's event stream (preprocessing,
-// every evaluation epoch, pool gauges). The one-shot comparison runs
-// (compare) stay untraced — they are reference measurements on
-// separate worlds. nil disables tracing.
-func RunWorkloadTraced(m *Manifest, compare bool, tr obs.Tracer) (*WorkloadReport, error) {
-	return RunWorkloadOpts(m, WorkloadRunOptions{Compare: compare, Tracer: tr})
-}
-
-// RunWorkloadOpts is the full-control workload runner: tracing,
-// evaluator mode, pipelined serving, per-step checkpointing, simulated
-// crashes and resume. A workload interrupted after step k and resumed
-// from its checkpoint produces a final report bit-identical to the run
-// that never stopped — outputs, CS sets, per-family traffic, ticks and
+// RunWorkloadOpts executes a workload manifest: one engine, one (or
+// more, on exhaustion) preprocessing batches, the steps in order. The
+// returned error covers manifest/assembly problems; engine errors and
+// assertion failures are reported per step. opt adds tracing of the
+// session engine, the one-shot comparison runs (Compare), evaluator
+// mode, pipelined serving, per-step checkpointing, simulated crashes
+// and resume. A workload interrupted after step k and resumed from its
+// checkpoint produces a final report bit-identical to the run that
+// never stopped — outputs, CS sets, per-family traffic, ticks and
 // pool accounting. A pipelined run (workload.pipeline or opt.Pipeline
 // >= 1) serves the steps through a sliding window of in-flight epochs:
 // outputs and CS stay bit-identical to sequential serving at any
@@ -360,7 +346,7 @@ func RunWorkloadOpts(m *Manifest, opt WorkloadRunOptions) (*WorkloadReport, erro
 		}
 		totalTicks += sr.Ticks
 		if opt.Compare {
-			ref, _ := mpc.Run(s.art.Cfg, s.art.Circuit, s.art.Inputs, s.art.Adversary)
+			ref, _ := mpc.RunOpts(s.art.Cfg, mpc.EngineOptions{Adversary: s.art.Adversary}, s.art.Circuit, s.art.Inputs)
 			if ref != nil {
 				sr.OneShotMessages = ref.HonestMessages
 				oneShotTotal += ref.HonestMessages
@@ -504,7 +490,7 @@ func runWorkloadPipelined(m *Manifest, eng *mpc.Engine, steps []builtStep, rep *
 		*totalTicks += rows[i].Ticks
 		if opt.Compare {
 			s := steps[i]
-			ref, _ := mpc.Run(s.art.Cfg, s.art.Circuit, s.art.Inputs, s.art.Adversary)
+			ref, _ := mpc.RunOpts(s.art.Cfg, mpc.EngineOptions{Adversary: s.art.Adversary}, s.art.Circuit, s.art.Inputs)
 			if ref != nil {
 				rows[i].OneShotMessages = ref.HonestMessages
 				*oneShotTotal += ref.HonestMessages
@@ -546,7 +532,7 @@ func isExhausted(err error) bool {
 
 // builtinWorkloads is the registry of named built-in workloads, kept
 // separate from the one-shot scenario registry: workload manifests run
-// through RunWorkload, not Run.
+// through RunWorkloadOpts, not RunWith.
 var builtinWorkloads = map[string]*Manifest{}
 
 func registerWorkload(m *Manifest) {

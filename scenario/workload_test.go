@@ -15,7 +15,7 @@ func TestWorkloadBuiltinsRun(t *testing.T) {
 		t.Skip("workload corpus is slow; run without -short")
 	}
 	for _, m := range BuiltinWorkloads() {
-		rep, err := RunWorkload(m, true)
+		rep, err := RunWorkloadOpts(m, WorkloadRunOptions{Compare: true})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -45,7 +45,7 @@ func TestWorkloadRefillRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunWorkload(m, false)
+	rep, err := RunWorkloadOpts(m, WorkloadRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,15 +133,15 @@ func TestWorkloadRunRejectsWorkloadManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(m); err == nil || !strings.Contains(err.Error(), "RunWorkload") {
-		t.Fatalf("Run accepted a workload manifest: %v", err)
+	if _, err := RunWith(m, RunOptions{}); err == nil || !strings.Contains(err.Error(), "RunWorkloadOpts") {
+		t.Fatalf("RunWith accepted a workload manifest: %v", err)
 	}
 	plain, err := Lookup("sync-sum-honest")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunWorkload(plain, false); err == nil || !strings.Contains(err.Error(), "workload") {
-		t.Fatalf("RunWorkload accepted a plain manifest: %v", err)
+	if _, err := RunWorkloadOpts(plain, WorkloadRunOptions{}); err == nil || !strings.Contains(err.Error(), "workload") {
+		t.Fatalf("RunWorkloadOpts accepted a plain manifest: %v", err)
 	}
 }
 
@@ -199,7 +199,7 @@ func TestWorkloadPipelineRefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunWorkload(m, false)
+	rep, err := RunWorkloadOpts(m, WorkloadRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
