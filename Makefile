@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet test test-short test-race scenarios workload-smoke pipeline-smoke fuzz-smoke fuzz-native trace-smoke checkpoint-smoke deploy-smoke bench-smoke bench-msgs perfbench ci
+.PHONY: build vet test test-short test-race scenarios workload-smoke pipeline-smoke fuzz-smoke fuzz-native trace-smoke checkpoint-smoke deploy-smoke bench-smoke bench-msgs perfbench loc ci
 
 build:
 	$(GO) build ./...
@@ -118,5 +118,12 @@ bench-msgs:
 # mpc name the benchmark uses would pass every other check.
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints the root module's Go line counts, non-test and test,
+# leaving out the perfbench/ module and hidden directories (build
+# caches): the before/after figures a simplification records.
+loc:
+	@find . -path ./perfbench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l | sed 's/^ */non-test Go lines: /'
+	@find . -path ./perfbench -prune -o -path './.*' -prune -o -name '*_test.go' -print | xargs cat | wc -l | sed 's/^ */test Go lines:     /'
 
 ci: build vet test-short bench-smoke bench-msgs workload-smoke pipeline-smoke fuzz-smoke trace-smoke checkpoint-smoke deploy-smoke perfbench

@@ -18,15 +18,6 @@ func (c *Counts) add(e Envelope) {
 	c.Bytes += uint64(e.WireSize())
 }
 
-// Sub returns the element-wise difference c - prev: the traffic
-// recorded between two observations of a live counter.
-func (c Counts) Sub(prev Counts) Counts {
-	return Counts{
-		Messages: c.Messages - prev.Messages,
-		Bytes:    c.Bytes - prev.Bytes,
-	}
-}
-
 // IsZero reports whether the counter recorded nothing.
 func (c Counts) IsZero() bool { return c.Messages == 0 && c.Bytes == 0 }
 
@@ -47,10 +38,9 @@ type Metrics struct {
 	lastLabel  string
 	lastCounts *Counts
 	// trackers attribute honest-origin traffic to instance-path
-	// prefixes. With epochs interleaved on one scheduler, before/after
-	// snapshot deltas no longer isolate one epoch's traffic — a tracker
-	// on "mpc/e7" counts exactly the sends under that namespace no
-	// matter what else is in flight. Empty when nothing is tracked, so
+	// prefixes: a tracker on "mpc/e7" counts exactly the sends under
+	// that namespace no matter what else is in flight, which is how the
+	// engine attributes every epoch's and every pool fill's traffic. Empty when nothing is tracked, so
 	// the hot path pays one len() check.
 	trackers []*PrefixCounter
 }
@@ -136,8 +126,7 @@ func (m *Metrics) LastTick() Time { return m.last }
 
 // MetricsSnapshot is a point-in-time copy of a Metrics: plain values
 // with stable JSON names, safe to retain while the live counter keeps
-// advancing. Snapshots subtract (Sub), which is how per-evaluation
-// deltas are computed against a long-lived engine's counters.
+// advancing. Checkpoints persist it and Restore reloads it.
 type MetricsSnapshot struct {
 	N        int               `json:"n"`
 	LastTick int64             `json:"lastTick"`
@@ -184,29 +173,6 @@ func (m *Metrics) Restore(s MetricsSnapshot) error {
 		m.ByFamily[k] = &cc
 	}
 	return nil
-}
-
-// Sub returns the traffic recorded between prev and s: element-wise
-// counter differences, with families that saw no new traffic dropped.
-// prev must be an earlier snapshot of the same Metrics.
-func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
-	d := MetricsSnapshot{
-		N:        s.N,
-		LastTick: s.LastTick,
-		Honest:   s.Honest.Sub(prev.Honest),
-		Corrupt:  s.Corrupt.Sub(prev.Corrupt),
-	}
-	for k, c := range s.ByFamily {
-		dc := c.Sub(prev.ByFamily[k])
-		if dc.IsZero() {
-			continue
-		}
-		if d.ByFamily == nil {
-			d.ByFamily = make(map[string]Counts)
-		}
-		d.ByFamily[k] = dc
-	}
-	return d
 }
 
 // MarshalJSON renders the metrics as their snapshot: a stable

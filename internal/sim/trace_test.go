@@ -123,11 +123,6 @@ func TestTracedOffIsBitIdentical(t *testing.T) {
 
 func TestCountsSub(t *testing.T) {
 	a := Counts{Messages: 10, Bytes: 500}
-	b := Counts{Messages: 4, Bytes: 120}
-	d := a.Sub(b)
-	if d.Messages != 6 || d.Bytes != 380 {
-		t.Fatalf("Sub = %+v", d)
-	}
 	if !(Counts{}).IsZero() || a.IsZero() {
 		t.Fatal("IsZero wrong")
 	}
@@ -143,23 +138,9 @@ func TestMetricsSnapshotSub(t *testing.T) {
 	m.Record(Envelope{From: 1, To: 2, Inst: "vss/1", Body: make([]byte, 10)}, false, 9)
 	m.Record(Envelope{From: 1, To: 2, Inst: "ba/1", Body: make([]byte, 6)}, false, 11)
 	m.Record(Envelope{From: 3, To: 2, Inst: "vss/1", Body: make([]byte, 2)}, true, 12)
-	d := m.Snapshot().Sub(pre)
-	if d.Honest.Messages != 2 || d.Corrupt.Messages != 1 || d.LastTick != 12 {
-		t.Fatalf("delta = %+v", d)
-	}
-	if len(d.ByFamily) != 2 || d.ByFamily["vss"].Messages != 1 || d.ByFamily["ba"].Messages != 1 {
-		t.Fatalf("delta families = %+v", d.ByFamily)
-	}
 	// A snapshot is a copy: advancing the live counter must not move it.
 	if pre.Honest.Messages != 1 {
 		t.Fatalf("snapshot aliased live counters: %+v", pre)
-	}
-	// Families with no new traffic are dropped from the delta.
-	pre2 := m.Snapshot()
-	m.Record(Envelope{From: 1, To: 2, Inst: "ba/2", Body: nil}, false, 13)
-	d2 := m.Snapshot().Sub(pre2)
-	if _, ok := d2.ByFamily["vss"]; ok {
-		t.Fatalf("zero-delta family kept: %+v", d2.ByFamily)
 	}
 }
 

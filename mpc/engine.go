@@ -33,8 +33,8 @@ var (
 	ErrTriplesExhausted = errors.New("mpc: triple pool exhausted")
 	// ErrEvalsInFlight is returned by Evaluate and Preprocess while
 	// pipelined evaluations or a background refill are in flight: both
-	// calls account their cost as a before/after delta of the world's
-	// counters, which is only meaningful with exclusive use of the
+	// calls drive the shared scheduler to quiescence and account their
+	// phase there, which is only meaningful with exclusive use of the
 	// scheduler. Flush the pipeline first.
 	ErrEvalsInFlight = errors.New("mpc: pipelined evaluations in flight (call Flush first)")
 )
@@ -94,15 +94,15 @@ type Engine struct {
 	// inflight holds the pipelined evaluations submitted through
 	// EvaluateAsync and not yet completed, in submission order.
 	inflight []*PendingEval
-	// retired queues epoch namespaces whose evaluations completed but
-	// whose handlers cannot be dropped yet: with sibling epochs still in
-	// flight the scheduler may hold deliveries addressed to this
-	// namespace, and dropping early would re-buffer them as strays. The
-	// queue drains at the next quiescence point.
-	retired []retiredEpoch
+	// retired queues finalized evaluations whose epoch namespaces
+	// cannot be dropped yet: with sibling epochs still in flight the
+	// scheduler may hold deliveries addressed to such a namespace, and
+	// dropping early would re-buffer them as strays. The queue drains
+	// at the next quiescence point.
+	retired []*PendingEval
 	// refill is the in-flight watermark-triggered background fill (nil
 	// when none).
-	refill *refillState
+	refill *fillState
 
 	// tracer receives engine lifecycle events (phases, epoch
 	// retirement); nil means tracing is off. The same tracer is wired
@@ -111,7 +111,8 @@ type Engine struct {
 }
 
 // EvalSummary is the per-evaluation latency/traffic record kept by the
-// engine: one row per completed Evaluate, in order.
+// engine: one row per completed evaluation (Evaluate or EvaluateAsync),
+// in completion order.
 type EvalSummary struct {
 	// Epoch is the evaluation's session epoch sequence number.
 	Epoch int `json:"epoch"`
@@ -130,8 +131,9 @@ type EvalSummary struct {
 
 // EngineStats is the engine's cumulative amortization accounting.
 type EngineStats struct {
-	// Evaluations counts completed Evaluate calls; Batches counts
-	// Preprocess fills.
+	// Evaluations counts completed evaluations from both entry points
+	// (Evaluate and EvaluateAsync); Batches counts pool fills, explicit
+	// and background.
 	Evaluations int `json:"evaluations"`
 	Batches     int `json:"batches"`
 	// TriplesGenerated / TriplesConsumed / TriplesAvailable account the
@@ -144,10 +146,14 @@ type EngineStats struct {
 	// figure `scenario workload -json` and the checkpoint inspect verb
 	// report without reaching into internals.
 	Pool triples.PoolStats `json:"pool"`
-	// PreprocessMessages/Bytes is the honest traffic of every
-	// Preprocess; EvalMessages/Bytes the honest traffic of every
-	// Evaluate. Their ratio against Evaluations is the amortization
-	// headline (see the scenario `workload` verb).
+	// PreprocessMessages/Bytes is the honest traffic of every pool
+	// fill; EvalMessages/Bytes the honest traffic of every evaluation.
+	// Their ratio against Evaluations is the amortization headline (see
+	// the scenario `workload` verb). A sequential phase is accounted at
+	// quiescence and counts every honest message it caused; a pipelined
+	// epoch is accounted at its last honest termination, so on an
+	// asynchronous network honest traffic its parties send after that
+	// point lands in neither figure (the pipelined tail gap).
 	PreprocessMessages uint64 `json:"preprocessMessages"`
 	PreprocessBytes    uint64 `json:"preprocessBytes"`
 	EvalMessages       uint64 `json:"evalMessages"`
@@ -155,8 +161,8 @@ type EngineStats struct {
 	// Events is the lifetime count of simulation events the engine's
 	// world has executed, across preprocessing and every evaluation.
 	Events uint64 `json:"events"`
-	// Evals holds one latency/traffic summary per completed Evaluate,
-	// in epoch order.
+	// Evals holds one latency/traffic summary per completed
+	// evaluation, in completion order.
 	Evals []EvalSummary `json:"evals,omitempty"`
 }
 
@@ -323,7 +329,9 @@ func newEngine(cfg Config, adv *Adversary, tr obs.Tracer, factory transport.Fact
 // actually generated — can exceed budget. Call it once up front with a
 // budget covering the expected workload, and again only to refill after
 // evaluations have drained the pool (a back-to-back second call returns
-// ErrDoublePreprocess).
+// ErrDoublePreprocess). Preprocess is the blocking form of the
+// background refill: the same startFill, driven to quiescence and
+// accounted there.
 func (e *Engine) Preprocess(budget int) (int, error) {
 	if budget < 1 {
 		return 0, fmt.Errorf("mpc: Preprocess budget must be >= 1, have %d", budget)
@@ -337,19 +345,9 @@ func (e *Engine) Preprocess(budget int) (int, error) {
 	e.busy = "Preprocess"
 	defer func() { e.busy = "" }()
 	e.drainIdle()
-	pre := e.world.Metrics().Snapshot()
-	begin := int64(e.world.Sched.Now())
-	seq := int64(e.ppCalls)
-	e.ppCalls++
-	e.tracePhase(obs.KPhaseBegin, "preprocess", seq, 0)
-	start := e.gridStart()
-	want := 0
-	for i := 1; i <= e.cfg.N; i++ {
-		got, err := e.pools[i].Fill(budget, start, !e.silent[i], nil)
-		if err != nil {
-			return 0, err
-		}
-		want = got
+	fs, got, err := e.startFill("preprocess", budget, nil)
+	if err != nil {
+		return 0, err
 	}
 	e.world.RunToQuiescence()
 	if err := e.transportCheck(); err != nil {
@@ -363,16 +361,13 @@ func (e *Engine) Preprocess(budget int) (int, error) {
 	}
 	e.preprocessed = true
 	e.evalSinceFill = false
-	d := e.world.Metrics().Snapshot().Sub(pre)
-	e.ppMsgs += d.Honest.Messages
-	e.ppBytes += d.Honest.Bytes
-	e.tracePhase(obs.KPhaseEnd, "preprocess", int64(e.world.Sched.Now())-begin, int64(d.Honest.Messages))
-	return want, nil
+	e.landFill(fs)
+	return got, nil
 }
 
-// tracePhase emits an engine lifecycle event; a no-op when tracing is
-// off.
-func (e *Engine) tracePhase(kind obs.Kind, name string, a, b int64) {
+// trace emits an engine lifecycle event (a phase boundary, an epoch
+// retirement, a pipeline-depth point); a no-op when tracing is off.
+func (e *Engine) trace(kind obs.Kind, name string, a, b int64) {
 	if e.tracer != nil {
 		e.tracer.Emit(obs.Event{
 			Kind: kind, Tick: int64(e.world.Sched.Now()), Inst: name, A: a, B: b,
@@ -399,7 +394,8 @@ func (e *Engine) Available() int {
 	return have
 }
 
-// Evaluations returns the number of completed Evaluate calls.
+// Evaluations returns the number of completed evaluations, from
+// Evaluate and EvaluateAsync alike.
 func (e *Engine) Evaluations() int { return e.evals }
 
 // Stats returns the engine's cumulative amortization accounting.
@@ -430,20 +426,19 @@ func (e *Engine) Stats() EngineStats {
 // through a fresh ΠACS, evaluates the circuit with the batched online
 // phase (or the per-gate reference under Config.PerGateEval), publicly
 // reconstructs the outputs, and retires the epoch's instance namespace.
-// The Result's traffic/event figures are this evaluation's deltas, so
-// they compare directly against a one-shot RunOpts of the same circuit.
+// The Result's traffic/event figures are this evaluation's own (its
+// epoch namespace's traffic, the events its drive ran), so they
+// compare directly against a one-shot RunOpts of the same circuit.
+//
+// Evaluate is the blocking form of EvaluateAsync: the same submission,
+// driven to quiescence and finalized there, so the epoch's figures also
+// count honest traffic sent after its last honest termination.
 //
 // On ErrTriplesExhausted nothing has been consumed and the engine
 // remains fully usable: Preprocess a refill and call Evaluate again.
 func (e *Engine) Evaluate(circ *circuit.Circuit, inputs []field.Element) (*Result, error) {
-	if !e.preprocessed {
-		return nil, ErrNotPreprocessed
-	}
-	if len(inputs) != e.cfg.N {
-		return nil, fmt.Errorf("mpc: %d inputs for %d parties", len(inputs), e.cfg.N)
-	}
-	if circ.N != e.cfg.N {
-		return nil, fmt.Errorf("mpc: circuit has %d input slots, engine has %d parties", circ.N, e.cfg.N)
+	if err := e.checkEval(circ, inputs); err != nil {
+		return nil, err
 	}
 	if len(e.inflight) > 0 || e.refill != nil {
 		return nil, ErrEvalsInFlight
@@ -459,95 +454,34 @@ func (e *Engine) Evaluate(circ *circuit.Circuit, inputs []field.Element) (*Resul
 	e.busy = "Evaluate"
 	defer func() { e.busy = "" }()
 	e.drainIdle()
-
-	reserved, err := e.reserveAll(circ.MulCount)
+	events0 := e.world.Sched.Processed()
+	p, err := e.submit(circ, inputs, nil)
 	if err != nil {
-		e.evalSinceFill = true
 		return nil, err
 	}
-
-	epoch := e.world.BeginEpoch()
-	inst := epoch.Namespace("mpc")
-	w := e.world
-	start := e.gridStart()
-	pre := w.Metrics().Snapshot()
-	events0 := w.Sched.Processed()
-	phaseBegin := int64(w.Sched.Now())
-	e.tracePhase(obs.KPhaseBegin, "evaluate", int64(epoch.Seq()), 0)
-
-	res := &Result{
-		PerParty:      make([][]field.Element, e.cfg.N+1),
-		TerminatedAt:  make([]int64, e.cfg.N+1),
-		StartedAt:     int64(start),
-		Deadline:      int64(start + core.SessionDeadline(e.pcfg, circ.MulDepth)),
-		PaperDeadline: int64(start + core.PaperDeadline(e.pcfg, circ.MulDepth)),
-	}
-	mode := core.EvalLayered
-	if e.cfg.PerGateEval {
-		mode = core.EvalPerGate
-	}
-	engines := make([]*core.CirEval, e.cfg.N+1)
-	for i := 1; i <= e.cfg.N; i++ {
-		i := i
-		engines[i] = core.NewSession(w.Runtimes[i], inst, circ, e.pcfg, e.coin, start, mode, reserved[i],
-			func(out []field.Element) {
-				res.PerParty[i] = out
-				res.TerminatedAt[i] = int64(w.Sched.Now())
-			})
-	}
-	for i := 1; i <= e.cfg.N; i++ {
-		if e.silent[i] {
-			continue
-		}
-		i := i
-		w.Runtimes[i].At(start, func() { engines[i].Start(inputs[i-1]) })
-	}
-	w.RunToQuiescence()
+	e.world.RunToQuiescence()
 	if err := e.transportCheck(); err != nil {
 		return nil, err
 	}
+	e.finalize(p)
+	e.retireQuiesced()
+	p.res.Events = e.world.Sched.Processed() - events0
+	return e.collect(p.res, p.engines)
+}
 
-	d := w.Metrics().Snapshot().Sub(pre)
-	res.HonestMessages = d.Honest.Messages
-	res.HonestBytes = d.Honest.Bytes
-	res.Events = w.Sched.Processed() - events0
-	res.ByFamily = make(map[string]FamilyCounts, len(d.ByFamily))
-	for fam, c := range d.ByFamily {
-		res.ByFamily[fam] = FamilyCounts{Messages: c.Messages, Bytes: c.Bytes}
+// checkEval rejects an evaluation request the engine cannot serve at
+// all, before either entry point touches the pool or the scheduler.
+func (e *Engine) checkEval(circ *circuit.Circuit, inputs []field.Element) error {
+	if !e.preprocessed {
+		return ErrNotPreprocessed
 	}
-
-	e.evals++
-	e.evalSinceFill = true
-	e.evalMsgs += res.HonestMessages
-	e.evalBytes += res.HonestBytes
-	end := res.StartedAt
-	for i, t := range res.TerminatedAt {
-		if i >= 1 && !w.IsCorrupt(i) && t > end {
-			end = t
-		}
+	if len(inputs) != e.cfg.N {
+		return fmt.Errorf("mpc: %d inputs for %d parties", len(inputs), e.cfg.N)
 	}
-	e.evalSummaries = append(e.evalSummaries, EvalSummary{
-		Epoch:     epoch.Seq(),
-		Triples:   circ.MulCount,
-		StartTick: res.StartedAt,
-		EndTick:   end,
-		Ticks:     end - res.StartedAt,
-		Messages:  res.HonestMessages,
-		Bytes:     res.HonestBytes,
-	})
-	// Retire the epoch: the session's handlers (and any stray buffered
-	// traffic for them) are dropped so a long-lived engine's handler
-	// tables stay proportional to the live epoch, not the history.
-	for i := 1; i <= e.cfg.N; i++ {
-		w.Runtimes[i].DropPrefix(inst)
+	if circ.N != e.cfg.N {
+		return fmt.Errorf("mpc: circuit has %d input slots, engine has %d parties", circ.N, e.cfg.N)
 	}
-	e.tracePhase(obs.KPhaseEnd, "evaluate", int64(w.Sched.Now())-phaseBegin, int64(res.HonestMessages))
-	if e.tracer != nil {
-		e.tracer.Emit(obs.Event{
-			Kind: obs.KEpochRetire, Tick: int64(w.Sched.Now()), Inst: inst, A: int64(epoch.Seq()),
-		})
-	}
-	return e.collect(res, engines)
+	return nil
 }
 
 // reserveAll reserves k triples from every party's pool for one
@@ -633,7 +567,7 @@ func (e *Engine) OneShot(circ *circuit.Circuit, inputs []field.Element) (*Result
 		})
 	}
 	begin := int64(w.Sched.Now())
-	e.tracePhase(obs.KPhaseBegin, "run", 0, 0)
+	e.trace(obs.KPhaseBegin, "run", 0, 0)
 	for i := 1; i <= e.cfg.N; i++ {
 		if e.silent[i] {
 			continue
@@ -646,7 +580,7 @@ func (e *Engine) OneShot(circ *circuit.Circuit, inputs []field.Element) (*Result
 	}
 
 	snap := w.Metrics().Snapshot()
-	e.tracePhase(obs.KPhaseEnd, "run", int64(w.Sched.Now())-begin, int64(snap.Honest.Messages))
+	e.trace(obs.KPhaseEnd, "run", int64(w.Sched.Now())-begin, int64(snap.Honest.Messages))
 	res.HonestMessages = snap.Honest.Messages
 	res.HonestBytes = snap.Honest.Bytes
 	res.ByFamily = make(map[string]FamilyCounts, len(snap.ByFamily))

@@ -326,3 +326,62 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
+
+// TestEngineAttributesEveryHonestMessage: the blocking entry points
+// account each phase at quiescence, so every honest message the world
+// records belongs to exactly one Preprocess or Evaluate figure. On an
+// asynchronous network honest parties keep sending after the last
+// honest termination; accounting an Evaluate at termination time
+// would leave that tail unattributed.
+func TestEngineAttributesEveryHonestMessage(t *testing.T) {
+	async := engCfg(5, 1, 1, 7)
+	async.Network = Async
+	cases := []struct {
+		name string
+		cfg  Config
+		adv  *Adversary
+	}{
+		{"sync", engCfg(5, 1, 1, 7), nil},
+		{"async-garble", async, &Adversary{Garble: []int{5}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := NewEngineOpts(tc.cfg, EngineOptions{Adversary: tc.adv})
+			if err != nil {
+				t.Fatal(err)
+			}
+			circ := circuit.Product(5)
+			if _, err := eng.Preprocess(4 * circ.MulCount); err != nil {
+				t.Fatal(err)
+			}
+			inputs := engInputs(5)
+			var perEval uint64
+			refills := 0
+			for k := 0; k < 8; k++ {
+				res, err := eng.Evaluate(circ, inputs)
+				if errors.Is(err, ErrTriplesExhausted) {
+					refills++
+					if _, err := eng.Preprocess(8 * circ.MulCount); err != nil {
+						t.Fatalf("eval %d refill: %v", k, err)
+					}
+					res, err = eng.Evaluate(circ, inputs)
+				}
+				if err != nil {
+					t.Fatalf("eval %d: %v", k, err)
+				}
+				perEval += res.HonestMessages
+			}
+			if refills != 1 {
+				t.Fatalf("%d exhaustion-driven refills, want 1", refills)
+			}
+			st := eng.Stats()
+			if got, want := st.PreprocessMessages+st.EvalMessages, eng.world.Metrics().HonestMessages(); got != want {
+				t.Errorf("preprocess %d + eval %d = %d honest messages attributed, world recorded %d",
+					st.PreprocessMessages, st.EvalMessages, got, want)
+			}
+			if perEval != st.EvalMessages {
+				t.Errorf("per-eval HonestMessages sum to %d, EvalMessages = %d", perEval, st.EvalMessages)
+			}
+		})
+	}
+}

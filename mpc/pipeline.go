@@ -1,14 +1,28 @@
 package mpc
 
-// Concurrent epoch pipelining: EvaluateAsync submits an evaluation
-// without draining the scheduler, so several epochs advance interleaved
-// on the engine's single deterministic event loop — concurrency as
-// interleaving under one scheduler, never threads. Each epoch lives in
-// its own "mpc/e<k>" namespace; per-epoch traffic is attributed by a
-// metrics prefix tracker instead of before/after deltas (which stop
-// being meaningful once epochs overlap); namespace retirement is
-// deferred to the next quiescence point so in-flight deliveries of a
-// completed sibling are never re-buffered as strays.
+// The engine's one epoch and fill lifecycle: submit → drive → finalize
+// → retire. submit registers an evaluation's sessions without draining
+// the scheduler, so several epochs advance interleaved on the engine's
+// single deterministic event loop — concurrency as interleaving under
+// one scheduler, never threads. startFill does the same for a pool
+// batch. EvaluateAsync and the background refill finalize at the
+// moment the work completes (the last honest termination, the last
+// honest batch landing); Evaluate and Preprocess are their blocking
+// forms: the same submission, driven to quiescence and finalized
+// there. Each epoch lives in its own "mpc/e<k>" namespace and every
+// fill under "pool"; a metrics prefix tracker on that namespace is the
+// only traffic attribution, for overlapped and sequential phases
+// alike. Namespace retirement waits for quiescence so in-flight
+// deliveries of a completed sibling are never re-buffered as strays.
+//
+// The pipelined tail gap: a pipelined epoch's tracker is detached at
+// its last honest termination. On an asynchronous network honest
+// parties keep sending under the epoch's namespace after that point
+// (agreement and broadcast instances settling), and that traffic lands
+// in no figure: 110 of the 512,840 honest messages of a session that
+// preprocesses once and serves 8 product(5) evaluations at depth 4
+// (n=5, seed 7, one garbling party). Under the synchronous policy the
+// gap is 0. Sequential phases finalize at quiescence and have no gap.
 //
 // Determinism guarantee, precisely: a pipelined engine produces
 // bit-identical outputs and CS sets to the sequential engine on the
@@ -55,15 +69,14 @@ type PendingEval struct {
 	// trk attributes honest traffic under the epoch's namespace.
 	trk *sim.PrefixCounter
 	// remaining counts honest parties that have not terminated yet;
-	// completion fires when it reaches zero.
+	// submit's finalizer, if any, fires when it reaches zero.
 	remaining int
 	// done marks the evaluation finalized (accounting recorded, handle
-	// off the in-flight list); collected marks Wait's one-time output
-	// verification done.
-	done      bool
-	collected bool
-	finalRes  *Result
-	err       error
+	// off the in-flight list); finalRes is set by Wait's one-time
+	// output verification.
+	done     bool
+	finalRes *Result
+	err      error
 }
 
 // Epoch returns the evaluation's session epoch sequence number.
@@ -73,19 +86,14 @@ func (p *PendingEval) Epoch() int { return p.epoch }
 // without driving the scheduler).
 func (p *PendingEval) Done() bool { return p.done }
 
-// refillState tracks one watermark-triggered background fill.
-type refillState struct {
+// fillState tracks one pool fill batch across all parties.
+type fillState struct {
+	// phase is the traced phase name ("preprocess" or "refill").
+	phase string
 	trk   *sim.PrefixCounter
 	begin int64
 	// remaining counts honest pools whose batch has not landed.
 	remaining int
-}
-
-// retiredEpoch queues a completed epoch's namespace for deferred
-// retirement.
-type retiredEpoch struct {
-	inst string
-	seq  int
 }
 
 // EvaluateAsync submits a circuit evaluation as a pipelined epoch and
@@ -106,14 +114,8 @@ type retiredEpoch struct {
 // leaves the pool below the low-water mark triggers the next
 // background refill so later submissions do not stall at all.
 func (e *Engine) EvaluateAsync(circ *circuit.Circuit, inputs []field.Element) (*PendingEval, error) {
-	if !e.preprocessed {
-		return nil, ErrNotPreprocessed
-	}
-	if len(inputs) != e.cfg.N {
-		return nil, fmt.Errorf("mpc: %d inputs for %d parties", len(inputs), e.cfg.N)
-	}
-	if circ.N != e.cfg.N {
-		return nil, fmt.Errorf("mpc: circuit has %d input slots, engine has %d parties", circ.N, e.cfg.N)
+	if err := e.checkEval(circ, inputs); err != nil {
+		return nil, err
 	}
 	if err := e.ensureTriples(circ.MulCount); err != nil {
 		return nil, err
@@ -126,6 +128,22 @@ func (e *Engine) EvaluateAsync(circ *circuit.Circuit, inputs []field.Element) (*
 			return nil, err
 		}
 	}
+	p, err := e.submit(circ, inputs, e.complete)
+	if err != nil {
+		return nil, err
+	}
+	e.inflight = append(e.inflight, p)
+	e.trace(obs.KPipelineDepth, "pipeline", int64(len(e.inflight)), int64(p.epoch))
+	return p, nil
+}
+
+// submit reserves the circuit's triples and registers one evaluation
+// as a fresh session epoch: its sessions, their grid-anchored start
+// events and the epoch's traffic tracker. Nothing runs until the
+// caller drives the scheduler. onDone, when non-nil, finalizes the
+// epoch from its last honest termination callback; with a nil onDone
+// the caller finalizes (Evaluate does so at quiescence).
+func (e *Engine) submit(circ *circuit.Circuit, inputs []field.Element, onDone func(*PendingEval)) (*PendingEval, error) {
 	reserved, err := e.reserveAll(circ.MulCount)
 	if err != nil {
 		e.evalSinceFill = true
@@ -169,8 +187,8 @@ func (e *Engine) EvaluateAsync(circ *circuit.Circuit, inputs []field.Element) (*
 				res.TerminatedAt[i] = int64(w.Sched.Now())
 				if honest {
 					p.remaining--
-					if p.remaining == 0 {
-						e.complete(p)
+					if p.remaining == 0 && onDone != nil {
+						onDone(p)
 					}
 				}
 			})
@@ -182,10 +200,8 @@ func (e *Engine) EvaluateAsync(circ *circuit.Circuit, inputs []field.Element) (*
 		i := i
 		w.Runtimes[i].At(start, func() { p.engines[i].Start(inputs[i-1]) })
 	}
-	e.inflight = append(e.inflight, p)
 	e.evalSinceFill = true
-	e.tracePhase(obs.KPhaseBegin, "evaluate", int64(p.epoch), 0)
-	e.tracePipeline(int64(p.epoch))
+	e.trace(obs.KPhaseBegin, "evaluate", int64(p.epoch), 0)
 	return p, nil
 }
 
@@ -201,8 +217,11 @@ func (e *Engine) EvaluateAsync(circ *circuit.Circuit, inputs []field.Element) (*
 // Result caveats under overlap: Events is 0 (simulation events cannot
 // be attributed to one epoch once several interleave), and
 // HonestMessages/Bytes/ByFamily come from the epoch's namespace
-// tracker — under the synchronous policy these equal the sequential
-// engine's per-evaluation deltas.
+// tracker as of its last honest termination. Under the synchronous
+// policy these equal the sequential engine's per-evaluation figures;
+// on an asynchronous network they omit the honest traffic the epoch
+// sends after that point (the pipelined tail gap, see the package
+// pipelining notes), which a sequential Evaluate counts.
 func (p *PendingEval) Wait() (*Result, error) {
 	e := p.e
 	// Tick-granular polling: completion is only observed at tick
@@ -211,18 +230,15 @@ func (p *PendingEval) Wait() (*Result, error) {
 	// tick the completing event ran.
 	for !p.done && e.world.StepTick() {
 	}
-	if !p.done {
-		// Quiescence (or the event limit) without full termination:
-		// finalize with the terminations reached, like a sequential
-		// Evaluate whose RunToQuiescence returned early.
-		e.complete(p)
-	}
+	// A no-op after full termination. On quiescence (or the event
+	// limit) without it, finalize with the terminations reached, like a
+	// sequential Evaluate whose RunToQuiescence returned early.
+	e.complete(p)
 	if err := e.transportCheck(); err != nil {
 		return nil, err
 	}
 	e.retireQuiesced()
-	if !p.collected {
-		p.collected = true
+	if p.finalRes == nil {
 		p.finalRes, p.err = e.collect(p.res, p.engines)
 	}
 	return p.finalRes, p.err
@@ -255,12 +271,10 @@ func (e *Engine) Flush() error {
 	return nil
 }
 
-// complete finalizes one evaluation: records its accounting from the
-// epoch tracker, detaches the tracker, queues the namespace for
-// retirement and removes the handle from the in-flight list. Called
-// from the last honest termination callback in the normal case, or
-// from Wait/Flush when the scheduler drained without it. Idempotent.
-func (e *Engine) complete(p *PendingEval) {
+// finalize records one evaluation's accounting from its epoch tracker,
+// detaches the tracker and queues the namespace for retirement.
+// Idempotent.
+func (e *Engine) finalize(p *PendingEval) {
 	if p.done {
 		return
 	}
@@ -292,15 +306,26 @@ func (e *Engine) complete(p *PendingEval) {
 		Messages:  res.HonestMessages,
 		Bytes:     res.HonestBytes,
 	})
-	e.retired = append(e.retired, retiredEpoch{inst: p.inst, seq: p.epoch})
+	e.retired = append(e.retired, p)
+	e.trace(obs.KPhaseEnd, "evaluate", int64(e.world.Sched.Now())-p.begin, int64(res.HonestMessages))
+}
+
+// complete is the pipelined finalizer: finalize, then take the handle
+// off the in-flight list and record the depth gauge. Called from the
+// last honest termination callback in the normal case, or from
+// Wait/Flush when the scheduler drained without it. Idempotent.
+func (e *Engine) complete(p *PendingEval) {
+	if p.done {
+		return
+	}
+	e.finalize(p)
 	for k, q := range e.inflight {
 		if q == p {
 			e.inflight = append(e.inflight[:k], e.inflight[k+1:]...)
 			break
 		}
 	}
-	e.tracePhase(obs.KPhaseEnd, "evaluate", int64(e.world.Sched.Now())-p.begin, int64(res.HonestMessages))
-	e.tracePipeline(int64(p.epoch))
+	e.trace(obs.KPipelineDepth, "pipeline", int64(len(e.inflight)), int64(p.epoch))
 }
 
 // retireQuiesced drops the namespaces of completed epochs once the
@@ -316,20 +341,16 @@ func (e *Engine) retireQuiesced() {
 		for i := 1; i <= e.cfg.N; i++ {
 			e.world.Runtimes[i].DropPrefix(r.inst)
 		}
-		if e.tracer != nil {
-			e.tracer.Emit(obs.Event{
-				Kind: obs.KEpochRetire, Tick: int64(e.world.Sched.Now()), Inst: r.inst, A: int64(r.seq),
-			})
-		}
+		e.trace(obs.KEpochRetire, r.inst, int64(r.epoch), 0)
 	}
 	e.retired = nil
 }
 
 // drainIdle clears cross-epoch leftovers before a sequential phase:
 // deferred timers of completed pipelined epochs run to quiescence and
-// retired namespaces drop, so the phase's before/after delta
-// accounting starts from a clean scheduler. A no-op on a purely
-// sequential engine.
+// retired namespaces drop, so the phase starts from an empty scheduler
+// and its own quiescence drain runs only its own events. A no-op on a
+// purely sequential engine.
 func (e *Engine) drainIdle() {
 	if e.world.Sched.Pending() > 0 {
 		e.world.RunToQuiescence()
@@ -369,83 +390,90 @@ func (e *Engine) ensureTriples(k int) error {
 
 // startRefill launches one background ΠPreProcessing fill across all
 // pools without draining the scheduler: the batch's protocol events
-// interleave with the live online phases. Its honest traffic is
-// attributed to preprocessing via a "pool" namespace tracker and folded
-// into the engine's Preprocess accounting when the last honest batch
-// lands. A corrupt party's pool that refuses to fill (a restored
-// never-completing batch keeps its fill-in-flight marker forever) is
-// skipped: the batch protocol is ts-robust against its absence, and
-// reserveAll gives that party stand-ins.
+// interleave with the live online phases, and refillLanded folds its
+// traffic into the engine's Preprocess accounting when the last honest
+// batch lands.
 func (e *Engine) startRefill(minNeed int) error {
 	budget := e.cfg.RefillBudget
 	if budget <= 0 {
 		budget = e.cfg.RefillLowWater
 	}
-	if budget < minNeed {
-		budget = minNeed
+	fs, _, err := e.startFill("refill", max(budget, minNeed, 1), e.refillLanded)
+	if err != nil {
+		return err
 	}
-	if budget < 1 {
-		budget = 1
-	}
+	e.refill = fs
+	return nil
+}
+
+// startFill launches one ΠPreProcessing batch across all pools, traced
+// as the named phase, and returns it with the batch size. The batch's
+// honest traffic is attributed by a "pool" namespace tracker. landed,
+// when non-nil, runs at every honest pool's batch completion; with a
+// nil landed the caller accounts the fill itself (Preprocess does so
+// at quiescence). A corrupt party's pool that refuses to fill (a
+// restored never-completing batch keeps its fill-in-flight marker
+// forever) is skipped: the batch protocol is ts-robust against its
+// absence, and reserveAll gives that party stand-ins.
+func (e *Engine) startFill(phase string, budget int, landed func(*fillState)) (*fillState, int, error) {
 	for _, i := range e.world.Honest() {
 		if e.pools[i].Filling() {
-			return fmt.Errorf("mpc: honest party %d already has a fill in flight", i)
+			return nil, 0, fmt.Errorf("mpc: honest party %d already has a fill in flight", i)
 		}
 	}
 	seq := int64(e.ppCalls)
 	e.ppCalls++
-	e.tracePhase(obs.KPhaseBegin, "refill", seq, 0)
-	rs := &refillState{
+	e.trace(obs.KPhaseBegin, phase, seq, 0)
+	fs := &fillState{
+		phase: phase,
 		trk:   e.world.Metrics().Track("pool"),
 		begin: int64(e.world.Sched.Now()),
 	}
 	start := e.gridStart()
+	size := 0
 	for i := 1; i <= e.cfg.N; i++ {
 		honest := !e.world.IsCorrupt(i)
 		var onDone func(int)
 		if honest {
-			rs.remaining++
-			onDone = func(int) { e.refillLanded(rs) }
+			fs.remaining++
+			if landed != nil {
+				onDone = func(int) { landed(fs) }
+			}
 		}
-		if _, err := e.pools[i].Fill(budget, start, !e.silent[i], onDone); err != nil {
+		got, err := e.pools[i].Fill(budget, start, !e.silent[i], onDone)
+		if err != nil {
 			if !honest {
 				continue
 			}
-			e.world.Metrics().Untrack(rs.trk)
-			return err
+			e.world.Metrics().Untrack(fs.trk)
+			return nil, 0, err
 		}
+		size = got
 	}
-	e.refill = rs
-	return nil
+	return fs, size, nil
 }
 
-// refillLanded fires per honest pool batch completion; the last one
-// folds the refill's traffic into the preprocessing totals and closes
-// the overlap span.
-func (e *Engine) refillLanded(rs *refillState) {
-	rs.remaining--
-	if rs.remaining > 0 || e.refill != rs {
+// refillLanded fires per honest pool batch completion of a background
+// refill; the last one lands the fill.
+func (e *Engine) refillLanded(fs *fillState) {
+	fs.remaining--
+	if fs.remaining > 0 || e.refill != fs {
 		return
 	}
 	e.refill = nil
 	e.preprocessed = true
-	e.ppMsgs += rs.trk.Messages
-	e.ppBytes += rs.trk.Bytes
-	e.world.Metrics().Untrack(rs.trk)
-	e.tracePhase(obs.KPhaseEnd, "refill", int64(e.world.Sched.Now())-rs.begin, int64(rs.trk.Messages))
+	e.landFill(fs)
+}
+
+// landFill folds a completed fill's traffic into the preprocessing
+// totals, detaches its tracker and closes the phase span.
+func (e *Engine) landFill(fs *fillState) {
+	e.ppMsgs += fs.trk.Messages
+	e.ppBytes += fs.trk.Bytes
+	e.world.Metrics().Untrack(fs.trk)
+	e.trace(obs.KPhaseEnd, fs.phase, int64(e.world.Sched.Now())-fs.begin, int64(fs.trk.Messages))
 }
 
 // Refilling reports whether a watermark-triggered background fill is
 // in flight.
 func (e *Engine) Refilling() bool { return e.refill != nil }
-
-// tracePipeline emits the pipeline-occupancy gauge point after a
-// submit or completion changed the in-flight count.
-func (e *Engine) tracePipeline(epochSeq int64) {
-	if e.tracer != nil {
-		e.tracer.Emit(obs.Event{
-			Kind: obs.KPipelineDepth, Tick: int64(e.world.Sched.Now()),
-			Inst: "pipeline", A: int64(len(e.inflight)), B: epochSeq,
-		})
-	}
-}

@@ -383,35 +383,12 @@ func (d *Deployment) Serve(w io.Writer, rounds int) (*ServeReport, error) {
 		fmt.Fprintf(w, "  party %d listens on %s\n", i+1, addr)
 	}
 
-	type servedStep struct {
-		circ   *RunArtifacts
-		label  string
-		expect Expect
-	}
-	steps := make([]servedStep, len(m.Workload.Steps))
-	budget := 0
-	for i, s := range m.Workload.Steps {
-		circ, err := s.Circuit.Build(m.Parties.N)
-		if err != nil {
-			return nil, fmt.Errorf("party set %q: step %d circuit: %w", d.Set.Name, i, err)
-		}
-		steps[i] = servedStep{
-			circ: &RunArtifacts{
-				Cfg: cfg, Circuit: circ,
-				Inputs:    buildInputs(s.Inputs, m.Parties.N),
-				Adversary: adv,
-			},
-			label:  s.Circuit.String(),
-			expect: s.Expect,
-		}
-		budget += circ.MulCount
+	steps, muls, err := buildSteps(m, cfg, adv)
+	if err != nil {
+		return nil, fmt.Errorf("party set %q: %w", d.Set.Name, err)
 	}
 	if d.Resume == nil {
-		fill := budget * rounds
-		if fill < 1 {
-			fill = 1
-		}
-		if _, err := eng.Preprocess(fill); err != nil {
+		if _, err := eng.Preprocess(max(1, muls*rounds)); err != nil {
 			return nil, fmt.Errorf("party set %q: preprocess: %w", d.Set.Name, err)
 		}
 	}
@@ -419,45 +396,18 @@ func (d *Deployment) Serve(w io.Writer, rounds int) (*ServeReport, error) {
 	start := time.Now()
 	for r := 0; r < rounds; r++ {
 		for i, s := range steps {
-			res, runErr := eng.Evaluate(s.circ.Circuit, s.circ.Inputs)
-			if runErr != nil && isExhausted(runErr) {
-				if _, ferr := eng.Preprocess(max(1, s.circ.Circuit.MulCount)); ferr == nil {
-					res, runErr = eng.Evaluate(s.circ.Circuit, s.circ.Inputs)
-				}
-			}
+			res, runErr := evaluateRefilling(eng, s.art)
 			if runErr != nil && errors.Is(runErr, mpc.ErrTransport) {
 				return nil, fmt.Errorf("party set %q: round %d step %d: %w", d.Set.Name, r+1, i, runErr)
 			}
 			rep.Evals++
-			var lastAbs, lastRel int64
-			if res != nil {
-				corrupt := map[int]bool{}
-				for _, p := range m.Adversary.Corrupt() {
-					corrupt[p] = true
-				}
-				for idx, t := range res.TerminatedAt {
-					if !corrupt[idx] && t > lastAbs {
-						lastAbs = t
-					}
-				}
-				if lastAbs > 0 {
-					lastRel = lastAbs - res.StartedAt
-				}
-			}
-			fails := assertExpect(s.expect, m.Adversary, s.circ, res, runErr, lastAbs, lastRel)
-			ok := len(fails) == 0
-			if !ok {
+			sr := workloadStepRow(m, i, s, res, runErr)
+			if !sr.Pass {
 				rep.Failures++
 			}
-			var msgs uint64
-			var cs int
-			if res != nil {
-				msgs = res.HonestMessages
-				cs = len(res.CS)
-			}
 			fmt.Fprintf(w, "  round %d step %d %-14s t=%-6d %8d msgs |CS|=%d ok=%v\n",
-				r+1, i, s.label, lastRel, msgs, cs, ok)
-			for _, f := range fails {
+				r+1, i, sr.Circuit, sr.Ticks, sr.HonestMessages, len(sr.CS), sr.Pass)
+			for _, f := range sr.Failures {
 				fmt.Fprintf(w, "      assertion failed: %s\n", f)
 			}
 		}

@@ -124,7 +124,7 @@ type WorkloadStepReport struct {
 	CS      []int    `json:"cs,omitempty"`
 	// Triples is the number of pool triples the step consumed.
 	Triples int `json:"triples"`
-	// HonestMessages/HonestBytes are this evaluation's traffic deltas;
+	// HonestMessages/HonestBytes are this evaluation's own traffic;
 	// Ticks is its duration on the engine clock.
 	HonestMessages uint64 `json:"honestMessages"`
 	HonestBytes    uint64 `json:"honestBytes"`
@@ -255,26 +255,14 @@ func RunWorkloadOpts(m *Manifest, opt WorkloadRunOptions) (*WorkloadReport, erro
 		cfg.RefillLowWater = m.Workload.RefillLowWater
 		cfg.RefillBudget = m.Workload.RefillBudget
 	}
-	steps := make([]builtStep, len(m.Workload.Steps))
-	budget := m.Workload.Budget
-	autoBudget := budget == 0
-	for i, s := range m.Workload.Steps {
-		circ, err := s.Circuit.Build(m.Parties.N)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: workload.steps[%d]: circuit: %w", m.Name, i, err)
-		}
-		steps[i] = builtStep{spec: s, art: &RunArtifacts{
-			Cfg:       cfg,
-			Circuit:   circ,
-			Inputs:    buildInputs(s.Inputs, m.Parties.N),
-			Adversary: adv,
-		}}
-		if autoBudget {
-			budget += circ.MulCount
-		}
+	steps, muls, err := buildSteps(m, cfg, adv)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", m.Name, err)
 	}
+	budget := m.Workload.Budget
 	if budget == 0 {
-		budget = 1 // all-linear workload: the engine still preprocesses once
+		// An all-linear workload still preprocesses once.
+		budget = max(1, muls)
 	}
 
 	var eng *mpc.Engine
@@ -291,7 +279,6 @@ func RunWorkloadOpts(m *Manifest, opt WorkloadRunOptions) (*WorkloadReport, erro
 			return nil, fmt.Errorf("%w: checkpoint records %d completed steps, workload has %d",
 				mpc.ErrBadCheckpoint, ck.StepsDone, len(steps))
 		}
-		var err error
 		eng, err = mpc.RestoreEngineOpts(cfg, eopts, bytes.NewReader(ck.Engine))
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q: resume: %w", m.Name, err)
@@ -301,7 +288,6 @@ func RunWorkloadOpts(m *Manifest, opt WorkloadRunOptions) (*WorkloadReport, erro
 		totalTicks = ck.TotalTicks
 		oneShotTotal = ck.OneShotTotal
 	} else {
-		var err error
 		eng, err = mpc.NewEngineOpts(cfg, eopts)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q: %w", m.Name, err)
@@ -326,15 +312,7 @@ func RunWorkloadOpts(m *Manifest, opt WorkloadRunOptions) (*WorkloadReport, erro
 	}
 	for i := startIdx; i < len(steps); i++ {
 		s := steps[i]
-		res, runErr := eng.Evaluate(s.art.Circuit, s.art.Inputs)
-		if runErr != nil && isExhausted(runErr) {
-			// The budgeted pool ran dry mid-workload: refill one batch
-			// sized for this step and retry — the recoverable path the
-			// typed exhaustion error exists for.
-			if _, ferr := eng.Preprocess(max(1, s.art.Circuit.MulCount)); ferr == nil {
-				res, runErr = eng.Evaluate(s.art.Circuit, s.art.Inputs)
-			}
-		}
+		res, runErr := evaluateRefilling(eng, s.art)
 		// A transport fault is an environment failure, not a protocol
 		// outcome: surface it as a hard error instead of a step row.
 		if runErr != nil && errors.Is(runErr, mpc.ErrTransport) {
@@ -374,16 +352,50 @@ func RunWorkloadOpts(m *Manifest, opt WorkloadRunOptions) (*WorkloadReport, erro
 	return rep, nil
 }
 
+// evaluateRefilling runs one sequential evaluation. If the budgeted
+// pool ran dry it refills one batch sized for the step and retries
+// once — the recoverable path the typed exhaustion error exists for.
+func evaluateRefilling(eng *mpc.Engine, art *RunArtifacts) (*mpc.Result, error) {
+	res, err := eng.Evaluate(art.Circuit, art.Inputs)
+	if err != nil && isExhausted(err) {
+		if _, ferr := eng.Preprocess(max(1, art.Circuit.MulCount)); ferr == nil {
+			res, err = eng.Evaluate(art.Circuit, art.Inputs)
+		}
+	}
+	return res, err
+}
+
 // builtStep pairs a workload step's spec with its built artifacts.
 type builtStep struct {
 	spec WorkloadStep
 	art  *RunArtifacts
 }
 
+// buildSteps builds every workload step's circuit and inputs under the
+// engine's cfg and adversary, and sums the steps' multiplications.
+func buildSteps(m *Manifest, cfg mpc.Config, adv *mpc.Adversary) ([]builtStep, int, error) {
+	steps := make([]builtStep, len(m.Workload.Steps))
+	muls := 0
+	for i, s := range m.Workload.Steps {
+		circ, err := s.Circuit.Build(m.Parties.N)
+		if err != nil {
+			return nil, 0, fmt.Errorf("workload.steps[%d]: circuit: %w", i, err)
+		}
+		steps[i] = builtStep{spec: s, art: &RunArtifacts{
+			Cfg:       cfg,
+			Circuit:   circ,
+			Inputs:    buildInputs(s.Inputs, m.Parties.N),
+			Adversary: adv,
+		}}
+		muls += circ.MulCount
+	}
+	return steps, muls, nil
+}
+
 // workloadStepRow builds one step's report row from an evaluation
-// outcome — shared by the sequential and pipelined serving loops so a
+// outcome — shared by the sequential and pipelined serving loops (so a
 // depth-1 pipelined report is field-for-field comparable to a
-// sequential one.
+// sequential one) and by Deployment.Serve's printed rows.
 func workloadStepRow(m *Manifest, i int, s builtStep, res *mpc.Result, runErr error) WorkloadStepReport {
 	sr := WorkloadStepReport{Index: i, Circuit: s.spec.Circuit.String(), Triples: s.art.Circuit.MulCount}
 	if runErr != nil {
