@@ -13,6 +13,7 @@ package proto
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 
 	"repro/internal/obs"
@@ -64,6 +65,9 @@ type Runtime struct {
 	exact    map[string]Handler
 	prefixes []prefixEntry
 	buffer   map[string][]bufMsg
+
+	// tomb is the retired-namespace tombstone (see DropPrefix).
+	tomb tombstone
 
 	// tracer receives instance lifecycle events; nil (the default) means
 	// tracing is off.
@@ -177,36 +181,6 @@ func (rt *Runtime) Registered(inst string) bool {
 	return ok
 }
 
-// DropPrefix removes every exact handler and every buffered message
-// whose instance path is prefix or lies under prefix+"/", returning
-// the number of handlers dropped. A long-lived World hosting many
-// session epochs retires each finished epoch's namespace this way so
-// handler tables do not grow without bound; late traffic for a dropped
-// instance is re-buffered and eventually discarded by the flood cap.
-// Prefix factories (RegisterPrefix) are not affected.
-func (rt *Runtime) DropPrefix(prefix string) int {
-	sub := prefix + "/"
-	dropped := 0
-	for inst := range rt.exact {
-		if inst == prefix || strings.HasPrefix(inst, sub) {
-			delete(rt.exact, inst)
-			dropped++
-		}
-	}
-	for inst := range rt.buffer {
-		if inst == prefix || strings.HasPrefix(inst, sub) {
-			delete(rt.buffer, inst)
-		}
-	}
-	if rt.tracer != nil {
-		rt.tracer.Emit(obs.Event{
-			Kind: obs.KInstanceDrop, Tick: int64(rt.sched.Now()),
-			Party: rt.id, Inst: prefix, A: int64(dropped),
-		})
-	}
-	return dropped
-}
-
 // RegisterPrefix installs a factory creating handlers on demand for any
 // instance path beginning with prefix (which should end in "/"). The
 // factory is invoked at most once per distinct instance path. It may
@@ -222,12 +196,7 @@ func (rt *Runtime) RegisterPrefix(prefix string, factory func(inst string) Handl
 			matched = append(matched, inst)
 		}
 	}
-	// Deterministic order.
-	for i := 1; i < len(matched); i++ {
-		for j := i; j > 0 && matched[j] < matched[j-1]; j-- {
-			matched[j], matched[j-1] = matched[j-1], matched[j]
-		}
-	}
+	slices.Sort(matched) // deterministic order
 	for _, inst := range matched {
 		h := factory(inst)
 		if h == nil {
@@ -250,6 +219,9 @@ func (rt *Runtime) Dispatch(env sim.Envelope) {
 	if h, ok := rt.exact[env.Inst]; ok {
 		h.Deliver(env.From, env.Type, env.Body)
 		return
+	}
+	if rt.tomb.covers(env.Inst) {
+		return // a straggler for a retired namespace
 	}
 	for _, pe := range rt.prefixes {
 		if strings.HasPrefix(env.Inst, pe.prefix) {

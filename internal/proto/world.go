@@ -256,8 +256,9 @@ func (w *World) Tracer() obs.Tracer { return w.tracer }
 // fresh NewWorld with the same options does NOT already reconstruct.
 // The protocol handler tables and in-flight messages are deliberately
 // absent — a world may only checkpoint at quiescence, where no events
-// are pending and retired epochs' handlers are inert (the epoch counter
-// guarantees restored sessions open fresh, non-colliding namespaces).
+// are pending and the engine has retired every finished namespace (the
+// epoch counter guarantees restored sessions open fresh, non-colliding
+// namespaces, so the tombstones need not be carried over either).
 type WorldState struct {
 	// Epochs is the BeginEpoch counter.
 	Epochs int `json:"epochs"`

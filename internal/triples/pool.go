@@ -141,7 +141,7 @@ func (p *Pool) Fill(budget int, start sim.Time, launch bool, onDone func(got int
 		return 0, fmt.Errorf("triples: pool %q already has a fill in flight", p.inst)
 	}
 	cM := BatchSize(p.cfg, budget)
-	inst := proto.Join(p.inst, fmt.Sprintf("b%d", p.batches))
+	inst := p.NextBatch()
 	p.batches++
 	p.trace(obs.KPoolFill, inst, cM, len(p.avail))
 	p.fillPending = cM
@@ -172,6 +172,13 @@ func (p *Pool) Fill(budget int, start sim.Time, launch bool, onDone func(got int
 	}
 	return cM, nil
 }
+
+// NextBatch returns the instance namespace the next Fill's batch runs
+// in ("<inst>/b<k>"). The owner retires a batch's namespace
+// (Runtime.DropPrefix) once the batch has landed — the engine does so
+// when the last honest party's batch lands — but never the pool's own
+// namespace, which every later batch lives under.
+func (p *Pool) NextBatch() string { return proto.Join(p.inst, fmt.Sprintf("b%d", p.batches)) }
 
 // Filling reports whether a fill batch is still in flight.
 func (p *Pool) Filling() bool { return p.filling != nil }

@@ -94,12 +94,6 @@ type Engine struct {
 	// inflight holds the pipelined evaluations submitted through
 	// EvaluateAsync and not yet completed, in submission order.
 	inflight []*PendingEval
-	// retired queues finalized evaluations whose epoch namespaces
-	// cannot be dropped yet: with sibling epochs still in flight the
-	// scheduler may hold deliveries addressed to such a namespace, and
-	// dropping early would re-buffer them as strays. The queue drains
-	// at the next quiescence point.
-	retired []*PendingEval
 	// refill is the in-flight watermark-triggered background fill (nil
 	// when none).
 	refill *fillState
@@ -150,14 +144,20 @@ type EngineStats struct {
 	// fill; EvalMessages/Bytes the honest traffic of every evaluation.
 	// Their ratio against Evaluations is the amortization headline (see
 	// the scenario `workload` verb). A sequential phase is accounted at
-	// quiescence and counts every honest message it caused; a pipelined
-	// epoch is accounted at its last honest termination, so on an
-	// asynchronous network honest traffic its parties send after that
-	// point lands in neither figure (the pipelined tail gap).
+	// quiescence; a pipelined epoch or background fill is accounted, and
+	// its namespace retired, the moment it completes, so late deliveries
+	// to it are discarded and draw no replies. Either way the two figures
+	// sum to every honest message the world recorded, as
+	// TestEngineAttributesEveryHonestMessage checks.
 	PreprocessMessages uint64 `json:"preprocessMessages"`
 	PreprocessBytes    uint64 `json:"preprocessBytes"`
 	EvalMessages       uint64 `json:"evalMessages"`
 	EvalBytes          uint64 `json:"evalBytes"`
+	// Retained is each party's retained runtime state (index 0 = party
+	// 1): handlers, prefix factories, buffered paths and tombstone
+	// entries. Retirement keeps it to the live phases' state; at
+	// quiescence it is empty.
+	Retained []proto.Retained `json:"retained"`
 	// Events is the lifetime count of simulation events the engine's
 	// world has executed, across preprocessing and every evaluation.
 	Events uint64 `json:"events"`
@@ -408,6 +408,10 @@ func (e *Engine) Stats() EngineStats {
 		EvalBytes:          e.evalBytes,
 		Events:             e.world.Sched.Processed(),
 		Evals:              append([]EvalSummary(nil), e.evalSummaries...),
+		Retained:           make([]proto.Retained, e.cfg.N),
+	}
+	for i := 1; i <= e.cfg.N; i++ {
+		s.Retained[i-1] = e.world.Runtimes[i].Retained()
 	}
 	for _, i := range e.world.Honest() {
 		ps := e.pools[i].Stats()
@@ -464,7 +468,6 @@ func (e *Engine) Evaluate(circ *circuit.Circuit, inputs []field.Element) (*Resul
 		return nil, err
 	}
 	e.finalize(p)
-	e.retireQuiesced()
 	p.res.Events = e.world.Sched.Processed() - events0
 	return e.collect(p.res, p.engines)
 }

@@ -327,12 +327,14 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// TestEngineAttributesEveryHonestMessage: the blocking entry points
-// account each phase at quiescence, so every honest message the world
-// records belongs to exactly one Preprocess or Evaluate figure. On an
-// asynchronous network honest parties keep sending after the last
-// honest termination; accounting an Evaluate at termination time
-// would leave that tail unattributed.
+// TestEngineAttributesEveryHonestMessage: every honest message the
+// world records belongs to exactly one Preprocess or Evaluate figure.
+// The blocking entry points account each phase at quiescence. A
+// pipelined epoch is accounted and retired at its last honest
+// termination, while on an asynchronous network its agreement and
+// broadcast instances are still settling: the deliveries still in
+// flight must hit the tombstone and draw no reply, or the replies
+// would land in no figure.
 func TestEngineAttributesEveryHonestMessage(t *testing.T) {
 	async := engCfg(5, 1, 1, 7)
 	async.Network = Async
@@ -340,9 +342,12 @@ func TestEngineAttributesEveryHonestMessage(t *testing.T) {
 		name string
 		cfg  Config
 		adv  *Adversary
+		// depth > 0 serves the stream pipelined through EvaluateAsync.
+		depth int
 	}{
-		{"sync", engCfg(5, 1, 1, 7), nil},
-		{"async-garble", async, &Adversary{Garble: []int{5}}},
+		{"sync", engCfg(5, 1, 1, 7), nil, 0},
+		{"async-garble", async, &Adversary{Garble: []int{5}}, 0},
+		{"async-garble-depth4", async, &Adversary{Garble: []int{5}}, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -351,33 +356,69 @@ func TestEngineAttributesEveryHonestMessage(t *testing.T) {
 				t.Fatal(err)
 			}
 			circ := circuit.Product(5)
-			if _, err := eng.Preprocess(4 * circ.MulCount); err != nil {
-				t.Fatal(err)
-			}
 			inputs := engInputs(5)
 			var perEval uint64
-			refills := 0
-			for k := 0; k < 8; k++ {
-				res, err := eng.Evaluate(circ, inputs)
-				if errors.Is(err, ErrTriplesExhausted) {
-					refills++
-					if _, err := eng.Preprocess(8 * circ.MulCount); err != nil {
-						t.Fatalf("eval %d refill: %v", k, err)
+			if tc.depth == 0 {
+				if _, err := eng.Preprocess(4 * circ.MulCount); err != nil {
+					t.Fatal(err)
+				}
+				refills := 0
+				for k := 0; k < 8; k++ {
+					res, err := eng.Evaluate(circ, inputs)
+					if errors.Is(err, ErrTriplesExhausted) {
+						refills++
+						if _, err := eng.Preprocess(8 * circ.MulCount); err != nil {
+							t.Fatalf("eval %d refill: %v", k, err)
+						}
+						res, err = eng.Evaluate(circ, inputs)
 					}
-					res, err = eng.Evaluate(circ, inputs)
+					if err != nil {
+						t.Fatalf("eval %d: %v", k, err)
+					}
+					perEval += res.HonestMessages
 				}
-				if err != nil {
-					t.Fatalf("eval %d: %v", k, err)
+				if refills != 1 {
+					t.Fatalf("%d exhaustion-driven refills, want 1", refills)
 				}
-				perEval += res.HonestMessages
-			}
-			if refills != 1 {
-				t.Fatalf("%d exhaustion-driven refills, want 1", refills)
+			} else {
+				if _, err := eng.Preprocess(8 * circ.MulCount); err != nil {
+					t.Fatal(err)
+				}
+				var window []*PendingEval
+				wait := func() {
+					res, err := window[0].Wait()
+					if err != nil {
+						t.Fatalf("epoch %d: %v", window[0].Epoch(), err)
+					}
+					perEval += res.HonestMessages
+					window = window[1:]
+				}
+				for k := 0; k < 8; k++ {
+					if len(window) == tc.depth {
+						wait()
+					}
+					p, err := eng.EvaluateAsync(circ, inputs)
+					if err != nil {
+						t.Fatalf("submit %d: %v", k, err)
+					}
+					window = append(window, p)
+				}
+				for len(window) > 0 {
+					wait()
+				}
+				if err := eng.Flush(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			st := eng.Stats()
-			if got, want := st.PreprocessMessages+st.EvalMessages, eng.world.Metrics().HonestMessages(); got != want {
+			m := eng.world.Metrics()
+			if got, want := st.PreprocessMessages+st.EvalMessages, m.HonestMessages(); got != want {
 				t.Errorf("preprocess %d + eval %d = %d honest messages attributed, world recorded %d",
 					st.PreprocessMessages, st.EvalMessages, got, want)
+			}
+			if got, want := st.PreprocessBytes+st.EvalBytes, m.HonestBytes(); got != want {
+				t.Errorf("preprocess %d + eval %d = %d honest bytes attributed, world recorded %d",
+					st.PreprocessBytes, st.EvalBytes, got, want)
 			}
 			if perEval != st.EvalMessages {
 				t.Errorf("per-eval HonestMessages sum to %d, EvalMessages = %d", perEval, st.EvalMessages)

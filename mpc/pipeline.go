@@ -10,19 +10,23 @@ package mpc
 // honest batch landing); Evaluate and Preprocess are their blocking
 // forms: the same submission, driven to quiescence and finalized
 // there. Each epoch lives in its own "mpc/e<k>" namespace and every
-// fill under "pool"; a metrics prefix tracker on that namespace is the
-// only traffic attribution, for overlapped and sequential phases
-// alike. Namespace retirement waits for quiescence so in-flight
-// deliveries of a completed sibling are never re-buffered as strays.
+// fill in its own "pool/b<k>" batch namespace; a metrics prefix
+// tracker on that namespace is the only traffic attribution, for
+// overlapped and sequential phases alike. The point that accounts a
+// phase also retires its namespace on every party (Runtime.DropPrefix),
+// so a long-lived engine holds the state of its live phases only: an
+// epoch retires in finalize, a batch when its fill lands. Deliveries
+// still in flight for a retired namespace hit its tombstone and are
+// discarded.
 //
-// The pipelined tail gap: a pipelined epoch's tracker is detached at
-// its last honest termination. On an asynchronous network honest
-// parties keep sending under the epoch's namespace after that point
-// (agreement and broadcast instances settling), and that traffic lands
-// in no figure: 110 of the 512,840 honest messages of a session that
-// preprocesses once and serves 8 product(5) evaluations at depth 4
-// (n=5, seed 7, one garbling party). Under the synchronous policy the
-// gap is 0. Sequential phases finalize at quiescence and have no gap.
+// The pipelined tail: a pipelined epoch is accounted and retired at its
+// last honest termination. On an asynchronous network agreement and
+// broadcast instances are still settling then; their late deliveries
+// hit the tombstone and draw no replies, so no honest traffic is sent
+// under the namespace after its tracker detached, and the preprocess
+// and evaluation figures sum to the world's honest traffic. A
+// sequential Evaluate retires at quiescence instead, after those
+// replies, which it counts.
 //
 // Determinism guarantee, precisely: a pipelined engine produces
 // bit-identical outputs and CS sets to the sequential engine on the
@@ -90,6 +94,8 @@ func (p *PendingEval) Done() bool { return p.done }
 type fillState struct {
 	// phase is the traced phase name ("preprocess" or "refill").
 	phase string
+	// inst is the batch namespace ("pool/b<k>"), retired on landing.
+	inst  string
 	trk   *sim.PrefixCounter
 	begin int64
 	// remaining counts honest pools whose batch has not landed.
@@ -219,9 +225,9 @@ func (e *Engine) submit(circ *circuit.Circuit, inputs []field.Element, onDone fu
 // HonestMessages/Bytes/ByFamily come from the epoch's namespace
 // tracker as of its last honest termination. Under the synchronous
 // policy these equal the sequential engine's per-evaluation figures;
-// on an asynchronous network they omit the honest traffic the epoch
-// sends after that point (the pipelined tail gap, see the package
-// pipelining notes), which a sequential Evaluate counts.
+// on an asynchronous network they lack the replies to late deliveries
+// that a sequential Evaluate counts, because the retired epoch never
+// sends them (see the package pipelining notes).
 func (p *PendingEval) Wait() (*Result, error) {
 	e := p.e
 	// Tick-granular polling: completion is only observed at tick
@@ -237,7 +243,6 @@ func (p *PendingEval) Wait() (*Result, error) {
 	if err := e.transportCheck(); err != nil {
 		return nil, err
 	}
-	e.retireQuiesced()
 	if p.finalRes == nil {
 		p.finalRes, p.err = e.collect(p.res, p.engines)
 	}
@@ -250,11 +255,10 @@ func (e *Engine) InFlight() int { return len(e.inflight) }
 
 // Flush drives the scheduler to quiescence, finalizing every in-flight
 // evaluation (their Waits return without further stepping) and landing
-// any background refill, then retires completed epoch namespaces. It
-// errors if the event limit cut the drain short. Flush is the
-// pipelined counterpart of the quiescence every sequential call ends
-// with; Snapshot and sequential Evaluate/Preprocess require it after
-// pipelined activity.
+// any background refill. It errors if the event limit cut the drain
+// short. Flush is the pipelined counterpart of the quiescence every
+// sequential call ends with; Snapshot and sequential
+// Evaluate/Preprocess require it after pipelined activity.
 func (e *Engine) Flush() error {
 	e.world.RunToQuiescence()
 	if err := e.transportCheck(); err != nil {
@@ -267,13 +271,11 @@ func (e *Engine) Flush() error {
 		return fmt.Errorf("mpc: pipeline incomplete after %d events with %d still pending (raise Config.EventLimit)",
 			e.world.Sched.Processed(), n)
 	}
-	e.retireQuiesced()
 	return nil
 }
 
 // finalize records one evaluation's accounting from its epoch tracker,
-// detaches the tracker and queues the namespace for retirement.
-// Idempotent.
+// detaches the tracker and retires the epoch's namespace. Idempotent.
 func (e *Engine) finalize(p *PendingEval) {
 	if p.done {
 		return
@@ -306,8 +308,9 @@ func (e *Engine) finalize(p *PendingEval) {
 		Messages:  res.HonestMessages,
 		Bytes:     res.HonestBytes,
 	})
-	e.retired = append(e.retired, p)
 	e.trace(obs.KPhaseEnd, "evaluate", int64(e.world.Sched.Now())-p.begin, int64(res.HonestMessages))
+	e.retire(p.inst)
+	e.trace(obs.KEpochRetire, p.inst, int64(p.epoch), 0)
 }
 
 // complete is the pipelined finalizer: finalize, then take the handle
@@ -328,34 +331,22 @@ func (e *Engine) complete(p *PendingEval) {
 	e.trace(obs.KPipelineDepth, "pipeline", int64(len(e.inflight)), int64(p.epoch))
 }
 
-// retireQuiesced drops the namespaces of completed epochs once the
-// scheduler is empty. Dropping earlier would re-buffer in-flight
-// deliveries still addressed to a completed epoch (stray build-up the
-// flood cap eventually trips); at quiescence nothing is in flight, so
-// handlers and any buffered stragglers go together.
-func (e *Engine) retireQuiesced() {
-	if len(e.retired) == 0 || e.world.Sched.Pending() > 0 {
-		return
+// retire drops a finished namespace on every party's runtime (corrupt
+// ones included: their handlers are protocol state all the same).
+func (e *Engine) retire(ns string) {
+	for i := 1; i <= e.cfg.N; i++ {
+		e.world.Runtimes[i].DropPrefix(ns)
 	}
-	for _, r := range e.retired {
-		for i := 1; i <= e.cfg.N; i++ {
-			e.world.Runtimes[i].DropPrefix(r.inst)
-		}
-		e.trace(obs.KEpochRetire, r.inst, int64(r.epoch), 0)
-	}
-	e.retired = nil
 }
 
-// drainIdle clears cross-epoch leftovers before a sequential phase:
-// deferred timers of completed pipelined epochs run to quiescence and
-// retired namespaces drop, so the phase starts from an empty scheduler
-// and its own quiescence drain runs only its own events. A no-op on a
-// purely sequential engine.
+// drainIdle runs cross-epoch leftovers — timers of completed pipelined
+// epochs — to quiescence before a sequential phase, so the phase starts
+// from an empty scheduler and its own quiescence drain runs only its
+// own events. A no-op on a purely sequential engine.
 func (e *Engine) drainIdle() {
 	if e.world.Sched.Pending() > 0 {
 		e.world.RunToQuiescence()
 	}
-	e.retireQuiesced()
 }
 
 // ensureTriples blocks a submission until the pool can serve k
@@ -408,7 +399,8 @@ func (e *Engine) startRefill(minNeed int) error {
 
 // startFill launches one ΠPreProcessing batch across all pools, traced
 // as the named phase, and returns it with the batch size. The batch's
-// honest traffic is attributed by a "pool" namespace tracker. landed,
+// honest traffic is attributed by a tracker on its "pool/b<k>"
+// namespace. landed,
 // when non-nil, runs at every honest pool's batch completion; with a
 // nil landed the caller accounts the fill itself (Preprocess does so
 // at quiescence). A corrupt party's pool that refuses to fill (a
@@ -424,9 +416,13 @@ func (e *Engine) startFill(phase string, budget int, landed func(*fillState)) (*
 	seq := int64(e.ppCalls)
 	e.ppCalls++
 	e.trace(obs.KPhaseBegin, phase, seq, 0)
+	// Honest pools fill in lockstep, so they agree on the batch
+	// namespace; a corrupt pool stuck on an older batch skips this one.
+	inst := e.pools[e.world.Honest()[0]].NextBatch()
 	fs := &fillState{
 		phase: phase,
-		trk:   e.world.Metrics().Track("pool"),
+		inst:  inst,
+		trk:   e.world.Metrics().Track(inst),
 		begin: int64(e.world.Sched.Now()),
 	}
 	start := e.gridStart()
@@ -466,12 +462,15 @@ func (e *Engine) refillLanded(fs *fillState) {
 }
 
 // landFill folds a completed fill's traffic into the preprocessing
-// totals, detaches its tracker and closes the phase span.
+// totals, detaches its tracker, closes the phase span and retires the
+// batch namespace: its triples are in the pools, and nothing else of
+// it is needed.
 func (e *Engine) landFill(fs *fillState) {
 	e.ppMsgs += fs.trk.Messages
 	e.ppBytes += fs.trk.Bytes
 	e.world.Metrics().Untrack(fs.trk)
 	e.trace(obs.KPhaseEnd, fs.phase, int64(e.world.Sched.Now())-fs.begin, int64(fs.trk.Messages))
+	e.retire(fs.inst)
 }
 
 // Refilling reports whether a watermark-triggered background fill is
