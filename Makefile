@@ -94,12 +94,18 @@ checkpoint-smoke:
 # in-memory simulator, and fail unless the inner protocol reports are
 # bit-identical — the differential guarantee of docs/deployment.md.
 # A 2-round serve over the workload set then exercises the long-lived
-# serving loop over sockets.
+# serving loop over sockets. The pipeline set repeats the differential
+# and the serve with depth-4 EvaluateAsync epochs and background
+# refills in flight over the sockets.
 deploy-smoke:
 	$(GO) run ./cmd/scenario deploy -out /tmp/repro-deploy-unix.json deploy-unix-n5
 	$(GO) run ./cmd/scenario deploy -backend sim -out /tmp/repro-deploy-sim.json deploy-unix-n5
 	cmp /tmp/repro-deploy-unix.json /tmp/repro-deploy-sim.json
 	$(GO) run ./cmd/scenario serve -rounds 2 deploy-unix-n5-workload
+	$(GO) run ./cmd/scenario deploy -out /tmp/repro-deploy-pipe-unix.json deploy-unix-n5-pipeline
+	$(GO) run ./cmd/scenario deploy -backend sim -out /tmp/repro-deploy-pipe-sim.json deploy-unix-n5-pipeline
+	cmp /tmp/repro-deploy-pipe-unix.json /tmp/repro-deploy-pipe-sim.json
+	$(GO) run ./cmd/scenario serve -rounds 2 deploy-unix-n5-pipeline
 
 # bench-smoke compiles and single-shots every benchmark (CI guard; no
 # stable timing intended).

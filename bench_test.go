@@ -1,6 +1,6 @@
-// Benchmarks regenerating the experiment rows of DESIGN.md's index
-// (E1..E13), one Benchmark per table. Custom metrics report the
-// figures EXPERIMENTS.md compares against the paper's bounds:
+// Benchmarks regenerating the experiment rows E1..E13, one Benchmark
+// per table. Custom metrics report the figures that stand against the
+// paper's bounds:
 //
 //	bytes/op    honest-party bytes for one protocol run
 //	msgs/op     honest-party messages

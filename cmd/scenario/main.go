@@ -6,8 +6,7 @@
 //
 //	scenario list     [-json]
 //	scenario validate [-f file.json] [name ...]
-//	scenario run      [-f file.json] [-parallel N] [-json] [-trace] [-trace-out dir] [--all | name ...]
-//	scenario sweep    [-seeds A..B] [-parallel N] [-json] [--all | name ...]
+//	scenario run      [-f file.json] [-seeds A..B] [-parallel N] [-json] [-trace] [-trace-out dir] [--all | name ...]
 //	scenario workload [-f file.json] [-json] [-compare] [-require-savings] [-trace] [-trace-out dir]
 //	                  [-checkpoint file] [-resume file] [-stop-after k] [-pipeline n] [--all | name ...]
 //	scenario checkpoint [-json] file
@@ -22,22 +21,13 @@
 // Examples:
 //
 //	scenario run --all -parallel 4
-//	scenario deploy deploy-unix-n5
-//	scenario deploy -backend sim -out /tmp/sim.json deploy-unix-n5
-//	scenario serve -rounds 2 deploy-unix-n5-workload
-//	scenario run sync-garble-ts async-starved-links
-//	scenario validate -f examples/scenarios/async-starvation.json
-//	scenario sweep -seeds 1..16 sync-sum-honest
-//	scenario workload --all -require-savings
-//	scenario workload workload-amortize-sync -json
+//	scenario run -seeds 1..16 sync-sum-honest
 //	scenario workload -checkpoint /tmp/wl.ckpt -stop-after 3 workload-amortize-sync
-//	scenario checkpoint /tmp/wl.ckpt
 //	scenario workload -resume /tmp/wl.ckpt workload-amortize-sync
-//	scenario fuzz -trials 200 -seed 1 -out /tmp/ce
-//	scenario fuzz -crash -trials 20 -seed 1
 //	scenario fuzz -replay /tmp/ce/fuzz-s1-t4-min.json
 //	scenario trace -out /tmp/trace.json workload-amortize-sync
-//	scenario trace -validate /tmp/trace.json
+//	scenario deploy -backend sim -out /tmp/sim.json deploy-unix-n5
+//	scenario serve -rounds 2 deploy-unix-n5-workload
 package main
 
 import (
@@ -57,87 +47,99 @@ import (
 	"repro/scenario"
 )
 
+// verbs maps each subcommand to its handler.
+var verbs = map[string]func(args []string){
+	"list": cmdList, "validate": cmdValidate, "run": cmdRun, "workload": cmdWorkload,
+	"checkpoint": cmdCheckpoint, "fuzz": cmdFuzz, "trace": cmdTrace, "deploy": cmdDeploy, "serve": cmdServe,
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 	}
-	switch os.Args[1] {
-	case "list":
-		cmdList(os.Args[2:])
-	case "validate":
-		cmdValidate(os.Args[2:])
-	case "run":
-		cmdRun(os.Args[2:])
-	case "sweep":
-		cmdSweep(os.Args[2:])
-	case "workload":
-		cmdWorkload(os.Args[2:])
-	case "checkpoint":
-		cmdCheckpoint(os.Args[2:])
-	case "fuzz":
-		cmdFuzz(os.Args[2:])
-	case "trace":
-		cmdTrace(os.Args[2:])
-	case "deploy":
-		cmdDeploy(os.Args[2:])
-	case "serve":
-		cmdServe(os.Args[2:])
-	case "-h", "-help", "--help", "help":
+	switch verb, ok := verbs[os.Args[1]]; {
+	case ok:
+		verb(os.Args[2:])
+	case os.Args[1] == "-h" || os.Args[1] == "-help" || os.Args[1] == "--help" || os.Args[1] == "help":
 		usage()
 	default:
-		fatal("unknown subcommand %q (want list, validate, run, sweep, workload, checkpoint, fuzz, trace, deploy or serve)", os.Args[1])
+		fatal("unknown subcommand %q (want list, validate, run, workload, checkpoint, fuzz, trace, deploy or serve)", os.Args[1])
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: scenario <list|validate|run|sweep|workload|checkpoint|fuzz|trace|deploy|serve> [flags] [--all | name ...]")
+	fmt.Fprintln(os.Stderr, "usage: scenario <list|validate|run|workload|checkpoint|fuzz|trace|deploy|serve> [flags] [--all | name ...]")
 	fmt.Fprintln(os.Stderr, "run 'scenario <subcommand> -h' for subcommand flags")
 	os.Exit(2)
 }
 
-// traceDelta returns the manifest's Δ for trace annotation (the
-// engine's default when unset).
-func traceDelta(m *scenario.Manifest) int64 {
-	if m.Network.Delta != 0 {
-		return m.Network.Delta
-	}
-	return 10
+// traceSink is one traced run: its event collector and where the
+// stream goes afterwards (the timeline summary on stdout, a Chrome
+// trace and a JSONL file; "" skips either). A nil sink traces nothing.
+type traceSink struct {
+	col           *obs.Collector
+	summary       bool
+	chrome, jsonl string
 }
 
-// writeTraceFiles exports a collected event stream: Chrome trace JSON
-// to chromePath and/or raw JSONL to jsonlPath ("" skips either).
-func writeTraceFiles(col *obs.Collector, n int, chromePath, jsonlPath string) {
-	write := func(path string, fn func(io.Writer) error) {
-		f, err := os.Create(path)
-		if err != nil {
+// tracer is the sink as a run option (a nil interface when off).
+func (s *traceSink) tracer() obs.Tracer {
+	if s == nil {
+		return nil
+	}
+	return s.col
+}
+
+// flush renders the collected stream of manifest m's run.
+func (s *traceSink) flush(m *scenario.Manifest) {
+	if s == nil {
+		return
+	}
+	if s.summary {
+		delta := m.Network.Delta
+		if delta == 0 {
+			delta = 10 // the engine's default Δ
+		}
+		fmt.Print(obs.Summarize(s.col.Events(), delta).String())
+	}
+	if s.chrome != "" {
+		writeFile(s.chrome, func(w io.Writer) error { return obs.WriteChromeTrace(w, s.col.Events(), m.Parties.N) })
+	}
+	if s.jsonl != "" {
+		writeFile(s.jsonl, func(w io.Writer) error { return obs.WriteJSONL(w, s.col.Events()) })
+	}
+}
+
+// traceFlags are the -trace/-trace-out flags of run, workload and fuzz
+// -replay.
+type traceFlags struct {
+	summary *bool
+	dir     *string
+}
+
+func addTraceFlags(fs *flag.FlagSet, what string) traceFlags {
+	return traceFlags{
+		summary: fs.Bool("trace", false, "trace each "+what+" and print its timeline summary"),
+		dir:     fs.String("trace-out", "", "write per-"+what+" Chrome trace + JSONL files into `dir` (implies tracing)"),
+	}
+}
+
+func (tf traceFlags) on() bool { return *tf.summary || *tf.dir != "" }
+
+// sink opens the sink for one run named name (nil when tracing is off);
+// a verb printing JSON gets no summary.
+func (tf traceFlags) sink(name string, jsonOut bool) *traceSink {
+	if !tf.on() {
+		return nil
+	}
+	s := &traceSink{col: obs.NewCollector(), summary: *tf.summary && !jsonOut}
+	if *tf.dir != "" {
+		if err := os.MkdirAll(*tf.dir, 0o755); err != nil {
 			fatal("%v", err)
 		}
-		if err := fn(f); err != nil {
-			f.Close()
-			fatal("%s: %v", path, err)
-		}
-		if err := f.Close(); err != nil {
-			fatal("%s: %v", path, err)
-		}
+		s.chrome, s.jsonl = filepath.Join(*tf.dir, name+".trace.json"), filepath.Join(*tf.dir, name+".jsonl")
 	}
-	if chromePath != "" {
-		write(chromePath, func(w io.Writer) error { return obs.WriteChromeTrace(w, col.Events(), n) })
-	}
-	if jsonlPath != "" {
-		write(jsonlPath, func(w io.Writer) error { return obs.WriteJSONL(w, col.Events()) })
-	}
-}
-
-// traceOutPaths derives the per-manifest export paths under dir ("" =
-// no file export requested).
-func traceOutPaths(dir, name string) (chromePath, jsonlPath string) {
-	if dir == "" {
-		return "", ""
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fatal("%v", err)
-	}
-	return filepath.Join(dir, name+".trace.json"), filepath.Join(dir, name+".jsonl")
+	return s
 }
 
 // cmdTrace runs one builtin scenario or workload (or a single-manifest
@@ -168,38 +170,15 @@ func cmdTrace(args []string) {
 		return
 	}
 
-	var m *scenario.Manifest
-	switch {
-	case *file != "":
-		if fs.NArg() > 0 {
-			fatal("-f cannot be combined with a builtin name")
-		}
-		ms, err := scenario.LoadFile(*file)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if len(ms) != 1 {
-			fatal("trace runs exactly one manifest; %s holds %d", *file, len(ms))
-		}
-		m = ms[0]
-	case fs.NArg() == 1:
-		name := fs.Arg(0)
-		var err error
-		if m, err = scenario.Lookup(name); err != nil {
-			var werr error
-			if m, werr = scenario.LookupWorkload(name); werr != nil {
-				fatal("no builtin scenario or workload named %q", name)
-			}
-		}
-	default:
-		fs.Usage()
-		os.Exit(2)
+	ms := selectManifests(fs, *file, false, nil, lookupAny)
+	if len(ms) != 1 {
+		fatal("trace runs exactly one manifest, have %d", len(ms))
 	}
-
-	col := obs.NewCollector()
+	m := ms[0]
+	sink := &traceSink{col: obs.NewCollector(), summary: true, chrome: *out, jsonl: *jsonl}
 	pass := true
 	if m.Workload != nil {
-		rep, err := scenario.RunWorkloadOpts(m, scenario.WorkloadRunOptions{Tracer: col})
+		rep, err := scenario.RunWorkloadOpts(m, scenario.WorkloadRunOptions{Tracer: sink.tracer()})
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -207,15 +186,14 @@ func cmdTrace(args []string) {
 		fmt.Printf("workload %s: %d evals, pool %d/%d used\n",
 			rep.Name, len(rep.Steps), rep.TriplesConsumed, rep.TriplesGenerated)
 	} else {
-		rep, err := scenario.RunWith(m, scenario.RunOptions{Tracer: col})
+		rep, err := scenario.RunWith(m, scenario.RunOptions{Tracer: sink.tracer()})
 		if err != nil {
 			fatal("%v", err)
 		}
 		pass = rep.Pass
 		fmt.Printf("scenario %s: t=%d |CS|=%d\n", rep.Name, rep.LastTick, len(rep.CS))
 	}
-	fmt.Print(obs.Summarize(col.Events(), traceDelta(m)).String())
-	writeTraceFiles(col, m.Parties.N, *out, *jsonl)
+	sink.flush(m)
 	if *out != "" {
 		fmt.Printf("chrome trace: %s (load at ui.perfetto.dev)\n", *out)
 	}
@@ -238,43 +216,14 @@ func cmdWorkload(args []string) {
 	compare := fs.Bool("compare", true, "also run each step as an independent one-shot mpc.RunOpts and report the amortization ratio")
 	requireSavings := fs.Bool("require-savings", false, "fail unless amortized msgs/eval beats the one-shot msgs/eval (implies -compare)")
 	jsonOut := fs.Bool("json", false, "emit reports as JSON")
-	trace := fs.Bool("trace", false, "trace each workload and print its timeline summary")
-	traceOut := fs.String("trace-out", "", "write per-workload Chrome trace + JSONL files into `dir` (implies tracing)")
+	tf := addTraceFlags(fs, "workload")
 	ckptPath := fs.String("checkpoint", "", "write a crash-safe resume checkpoint to `file` after every completed step (single workload only)")
 	resumePath := fs.String("resume", "", "resume the workload from a checkpoint `file` instead of starting fresh (single workload only)")
 	stopAfter := fs.Int("stop-after", 0, "stop after `k` completed steps — a simulated crash for checkpoint testing (single workload only)")
 	pipeline := fs.Int("pipeline", 0, "override the manifest's serving depth: `n` > 0 pipelines n in-flight evaluations, -1 forces sequential serving, 0 keeps the manifest's")
 	fs.Parse(args)
-	var ms []*scenario.Manifest
-	switch {
-	case *file != "":
-		if *all || fs.NArg() > 0 {
-			fatal("-f cannot be combined with --all or workload names")
-		}
-		loaded, err := scenario.LoadFile(*file)
-		if err != nil {
-			fatal("%v", err)
-		}
-		ms = loaded
-	case *all:
-		if fs.NArg() > 0 {
-			fatal("--all cannot be combined with workload names")
-		}
-		ms = scenario.BuiltinWorkloads()
-	case fs.NArg() == 0:
-		fs.Usage()
-		os.Exit(2)
-	default:
-		for _, name := range fs.Args() {
-			m, err := scenario.LookupWorkload(name)
-			if err != nil {
-				fatal("%v", err)
-			}
-			ms = append(ms, m)
-		}
-	}
+	ms := selectManifests(fs, *file, *all, scenario.BuiltinWorkloads, scenario.LookupWorkload)
 	doCompare := *compare || *requireSavings
-	doTrace := *trace || *traceOut != ""
 	checkpointing := *ckptPath != "" || *resumePath != "" || *stopAfter > 0
 	if checkpointing && len(ms) != 1 {
 		fatal("-checkpoint/-resume/-stop-after operate on exactly one workload, have %d", len(ms))
@@ -290,15 +239,10 @@ func cmdWorkload(args []string) {
 	var reps []*scenario.WorkloadReport
 	failed := 0
 	for _, m := range ms {
-		var col *obs.Collector
-		var tr obs.Tracer
-		if doTrace {
-			col = obs.NewCollector()
-			tr = col
-		}
+		sink := tf.sink(m.Name, *jsonOut)
 		rep, err := scenario.RunWorkloadOpts(m, scenario.WorkloadRunOptions{
 			Compare:        doCompare,
-			Tracer:         tr,
+			Tracer:         sink.tracer(),
 			CheckpointPath: *ckptPath,
 			StopAfter:      *stopAfter,
 			Resume:         resume,
@@ -318,13 +262,7 @@ func cmdWorkload(args []string) {
 			}
 			return
 		}
-		if doTrace {
-			if *trace && !*jsonOut {
-				fmt.Print(obs.Summarize(col.Events(), traceDelta(m)).String())
-			}
-			chromePath, jsonlPath := traceOutPaths(*traceOut, m.Name)
-			writeTraceFiles(col, m.Parties.N, chromePath, jsonlPath)
-		}
+		sink.flush(m)
 		reps = append(reps, rep)
 		bad := !rep.Pass
 		if *requireSavings && rep.Savings <= 1 {
@@ -340,12 +278,8 @@ func cmdWorkload(args []string) {
 		emitJSON(reps)
 	} else {
 		for _, rep := range reps {
-			status := "PASS"
-			if !rep.Pass {
-				status = "FAIL"
-			}
 			fmt.Printf("%-4s %-28s %d evals  pool %d/%d used  amortized %.0f msgs/eval",
-				status, rep.Name, len(rep.Steps), rep.TriplesConsumed, rep.TriplesGenerated, rep.AmortizedMsgsPerEval)
+				status(rep.Pass), rep.Name, len(rep.Steps), rep.TriplesConsumed, rep.TriplesGenerated, rep.AmortizedMsgsPerEval)
 			if doCompare {
 				fmt.Printf("  one-shot %.0f (%.2fx)", rep.OneShotMsgsPerEval, rep.Savings)
 			}
@@ -439,23 +373,16 @@ func cmdFuzz(args []string) {
 	inject := fs.String("inject", "", `plant a deliberate violation in every trial ("over-budget"; pipeline self-test)`)
 	crash := fs.Bool("crash", false, "run kill-and-resume checkpoint differentials instead of oracle trials (see docs/checkpointing.md)")
 	replay := fs.String("replay", "", "replay a saved counterexample manifest `file` instead of fuzzing")
-	trace := fs.Bool("trace", false, "with -replay: trace the primary run and print its timeline summary")
-	traceOut := fs.String("trace-out", "", "with -replay: write Chrome trace + JSONL files into `dir`")
+	tf := addTraceFlags(fs, "replay")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
 		fatal("fuzz takes no positional arguments, got %v", fs.Args())
 	}
-	if (*trace || *traceOut != "") && *replay == "" {
+	if tf.on() && *replay == "" {
 		fatal("-trace/-trace-out require -replay (campaign trials run in parallel and are not traced)")
 	}
 
 	if *replay != "" {
-		var col *obs.Collector
-		var tr obs.Tracer
-		if *trace || *traceOut != "" {
-			col = obs.NewCollector()
-			tr = col
-		}
 		data, err := os.ReadFile(*replay)
 		if err != nil {
 			fatal("%v", err)
@@ -464,14 +391,9 @@ func cmdFuzz(args []string) {
 		if err != nil {
 			fatal("%v", err)
 		}
-		v := fuzzer.Check(m, tr)
-		if col != nil {
-			if *trace && !*jsonOut {
-				fmt.Print(obs.Summarize(col.Events(), traceDelta(m)).String())
-			}
-			chromePath, jsonlPath := traceOutPaths(*traceOut, v.Name)
-			writeTraceFiles(col, m.Parties.N, chromePath, jsonlPath)
-		}
+		sink := tf.sink(m.Name, *jsonOut)
+		v := fuzzer.Check(m, sink.tracer())
+		sink.flush(m)
 		if *jsonOut {
 			emitJSON(v)
 		} else if v.OK() {
@@ -558,30 +480,35 @@ func cmdFuzz(args []string) {
 	}
 }
 
-// resolvePartySet loads the deploy/serve verbs' party set: a manifest
-// file via -f, or a builtin by name.
-func resolvePartySet(fs *flag.FlagSet, file string) *scenario.PartySet {
+// deployment resolves the deploy/serve verbs' party set (a manifest
+// file via -f, or a builtin by name), reifies it and applies the
+// -backend override.
+func deployment(fs *flag.FlagSet, file, backend string) *scenario.Deployment {
+	var set *scenario.PartySet
+	var err error
 	switch {
 	case file != "":
 		if fs.NArg() > 0 {
 			fatal("-f cannot be combined with a builtin party-set name")
 		}
-		s, err := scenario.LoadPartySetFile(file)
-		if err != nil {
-			fatal("%v", err)
-		}
-		return s
+		set, err = scenario.LoadPartySetFile(file)
 	case fs.NArg() == 1:
-		s, err := scenario.LookupPartySet(fs.Arg(0))
-		if err != nil {
-			fatal("%v", err)
-		}
-		return s
+		set, err = scenario.LookupPartySet(fs.Arg(0))
 	default:
 		fs.Usage()
 		os.Exit(2)
-		return nil
 	}
+	if err != nil {
+		fatal("%v", err)
+	}
+	dep, err := set.Reify()
+	if err != nil {
+		fatal("%v", err)
+	}
+	if err := dep.UseBackend(backend); err != nil {
+		fatal("%v", err)
+	}
+	return dep
 }
 
 // cmdDeploy reifies a party-set manifest and executes its referenced
@@ -597,36 +524,19 @@ func cmdDeploy(args []string) {
 	jsonOut := fs.Bool("json", false, "emit the full deploy report (wall clock, wire bytes) as JSON")
 	out := fs.String("out", "", "write the backend-invariant inner report as JSON to `file` (byte-identical across backends on one seed)")
 	fs.Parse(args)
-	set := resolvePartySet(fs, *file)
-	dep, err := set.Reify()
-	if err != nil {
-		fatal("%v", err)
-	}
-	if err := dep.UseBackend(*backend); err != nil {
-		fatal("%v", err)
-	}
+	dep := deployment(fs, *file, *backend)
 	rep, err := dep.Execute()
 	if err != nil {
 		fatal("%v", err)
 	}
 	if *out != "" {
-		inner, err := json.MarshalIndent(rep.Inner(), "", "  ")
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := os.WriteFile(*out, append(inner, '\n'), 0o644); err != nil {
-			fatal("%v", err)
-		}
+		writeFile(*out, func(w io.Writer) error { return writeJSON(w, rep.Inner()) })
 	}
 	if *jsonOut {
 		emitJSON(rep)
 	} else {
-		status := "PASS"
-		if !rep.Pass {
-			status = "FAIL"
-		}
 		fmt.Printf("%-4s %-28s backend=%-4s %8.1f ms  wire %d frames / %d bytes\n",
-			status, rep.Name, rep.Backend, rep.WallMs, rep.Wire.FramesOut, rep.Wire.BytesOut)
+			status(rep.Pass), rep.Name, rep.Backend, rep.WallMs, rep.Wire.FramesOut, rep.Wire.BytesOut)
 		if rep.Scenario != nil {
 			fmt.Printf("     scenario %s: t=%d |CS|=%d %d msgs %d bytes\n",
 				rep.Scenario.Name, rep.Scenario.LastTick, len(rep.Scenario.CS),
@@ -662,14 +572,7 @@ func cmdServe(args []string) {
 	rounds := fs.Int("rounds", 1, "serve the workload's steps this many times over")
 	jsonOut := fs.Bool("json", false, "additionally emit the serve summary as JSON")
 	fs.Parse(args)
-	set := resolvePartySet(fs, *file)
-	dep, err := set.Reify()
-	if err != nil {
-		fatal("%v", err)
-	}
-	if err := dep.UseBackend(*backend); err != nil {
-		fatal("%v", err)
-	}
+	dep := deployment(fs, *file, *backend)
 	rep, err := dep.Serve(os.Stdout, *rounds)
 	if err != nil {
 		fatal("%v", err)
@@ -682,38 +585,52 @@ func cmdServe(args []string) {
 	}
 }
 
-// select resolves the manifests a subcommand operates on: an explicit
-// manifest file, the full builtin corpus, or named builtins.
-func selectManifests(fs *flag.FlagSet, file string, all bool, args []string) []*scenario.Manifest {
-	if file != "" {
-		if all || len(args) > 0 {
-			fatal("-f cannot be combined with --all or scenario names")
+// selectManifests resolves the manifests a verb operates on: every
+// manifest in a JSON file (-f), every builtin of the verb's registry
+// (--all), or the builtins named by the positional arguments.
+func selectManifests(fs *flag.FlagSet, file string, all bool, builtins func() []*scenario.Manifest,
+	lookup func(string) (*scenario.Manifest, error)) []*scenario.Manifest {
+	names := fs.Args()
+	switch {
+	case file != "":
+		if all || len(names) > 0 {
+			fatal("-f cannot be combined with --all or builtin names")
 		}
 		ms, err := scenario.LoadFile(file)
 		if err != nil {
 			fatal("%v", err)
 		}
 		return ms
-	}
-	if all {
-		if len(args) > 0 {
-			fatal("--all cannot be combined with scenario names")
+	case all:
+		if len(names) > 0 {
+			fatal("--all cannot be combined with builtin names")
 		}
-		return scenario.Builtin()
-	}
-	if len(args) == 0 {
+		return builtins()
+	case len(names) == 0:
 		fs.Usage()
 		os.Exit(2)
 	}
-	var ms []*scenario.Manifest
-	for _, name := range args {
-		m, err := scenario.Lookup(name)
+	ms := make([]*scenario.Manifest, 0, len(names))
+	for _, name := range names {
+		m, err := lookup(name)
 		if err != nil {
 			fatal("%v", err)
 		}
 		ms = append(ms, m)
 	}
 	return ms
+}
+
+// lookupAny resolves a builtin scenario or, failing that, a builtin
+// workload.
+func lookupAny(name string) (*scenario.Manifest, error) {
+	if m, err := scenario.Lookup(name); err == nil {
+		return m, nil
+	}
+	if m, err := scenario.LookupWorkload(name); err == nil {
+		return m, nil
+	}
+	return nil, fmt.Errorf("no builtin scenario or workload named %q", name)
 }
 
 func cmdList(args []string) {
@@ -766,7 +683,7 @@ func cmdValidate(args []string) {
 	all := fs.Bool("all", true, "validate the whole builtin corpus when no names are given")
 	fs.Parse(args)
 	useAll := *file == "" && len(fs.Args()) == 0 && *all
-	ms := selectManifests(fs, *file, useAll, fs.Args())
+	ms := selectManifests(fs, *file, useAll, scenario.Builtin, scenario.Lookup)
 	bad := 0
 	for _, m := range ms {
 		// LoadFile and Lookup already validate; re-validate so the
@@ -788,112 +705,93 @@ func cmdRun(args []string) {
 	fs := flag.NewFlagSet("scenario run", flag.ExitOnError)
 	file := fs.String("f", "", "run manifests from a JSON `file` instead of builtins")
 	all := fs.Bool("all", false, "run the whole builtin corpus")
+	seeds := fs.String("seeds", "", "re-run each scenario over every seed in the `range` A..B (inclusive)")
 	parallel := fs.Int("parallel", 1, "worker-pool size (0 = GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "emit reports as JSON")
-	trace := fs.Bool("trace", false, "trace each run and print its timeline summary (forces serial execution)")
-	traceOut := fs.String("trace-out", "", "write per-run Chrome trace + JSONL files into `dir` (implies tracing)")
+	tf := addTraceFlags(fs, "run")
 	fs.Parse(args)
-	ms := selectManifests(fs, *file, *all, fs.Args())
-	if *trace || *traceOut != "" {
-		results := make([]scenario.SweepResult, 0, len(ms))
-		for _, m := range ms {
-			col := obs.NewCollector()
-			rep, err := scenario.RunWith(m, scenario.RunOptions{Tracer: col})
-			results = append(results, scenario.SweepResult{Manifest: m, Report: rep, Err: err})
-			if err != nil {
-				continue
-			}
-			if *trace && !*jsonOut {
-				fmt.Print(obs.Summarize(col.Events(), traceDelta(m)).String())
-			}
-			chromePath, jsonlPath := traceOutPaths(*traceOut, m.Name)
-			writeTraceFiles(col, m.Parties.N, chromePath, jsonlPath)
+	ms := selectManifests(fs, *file, *all, scenario.Builtin, scenario.Lookup)
+	if *seeds != "" {
+		seedList, err := parseSeedRange(*seeds)
+		if err != nil {
+			fatal("%v", err)
 		}
-		report(results, *jsonOut)
+		var expanded []*scenario.Manifest
+		for _, m := range ms {
+			expanded = append(expanded, scenario.ExpandSeeds(m, seedList)...)
+		}
+		ms = expanded
+	}
+	if !tf.on() {
+		report(scenario.Sweep(ms, *parallel), *jsonOut)
 		return
 	}
-	results := scenario.Sweep(ms, *parallel)
-	report(results, *jsonOut)
-}
-
-func cmdSweep(args []string) {
-	fs := flag.NewFlagSet("scenario sweep", flag.ExitOnError)
-	file := fs.String("f", "", "sweep manifests from a JSON `file` instead of builtins")
-	all := fs.Bool("all", false, "sweep the whole builtin corpus")
-	seeds := fs.String("seeds", "1..8", "seed `range` A..B (inclusive) each scenario is re-run over")
-	parallel := fs.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
-	jsonOut := fs.Bool("json", false, "emit reports as JSON")
-	fs.Parse(args)
-	lo, hi, err := parseSeedRange(*seeds)
-	if err != nil {
-		fatal("%v", err)
-	}
-	seedList := make([]uint64, 0, hi-lo+1)
-	for s := lo; ; s++ {
-		seedList = append(seedList, s)
-		if s == hi {
-			break
+	// Traced runs go one at a time, each into its own collector.
+	results := make([]scenario.SweepResult, 0, len(ms))
+	for _, m := range ms {
+		sink := tf.sink(m.Name, *jsonOut)
+		rep, err := scenario.RunWith(m, scenario.RunOptions{Tracer: sink.tracer()})
+		results = append(results, scenario.SweepResult{Manifest: m, Report: rep, Err: err})
+		if err == nil {
+			sink.flush(m)
 		}
 	}
-	var ms []*scenario.Manifest
-	for _, m := range selectManifests(fs, *file, *all, fs.Args()) {
-		ms = append(ms, scenario.ExpandSeeds(m, seedList)...)
-	}
-	results := scenario.Sweep(ms, *parallel)
 	report(results, *jsonOut)
 }
 
-func parseSeedRange(s string) (lo, hi uint64, err error) {
+// parseSeedRange expands "A..B" (or a single seed "A") into its seeds.
+func parseSeedRange(s string) ([]uint64, error) {
 	a, b, ok := strings.Cut(s, "..")
 	if !ok {
 		a, b = s, s
 	}
-	if lo, err = strconv.ParseUint(a, 10, 64); err != nil {
-		return 0, 0, fmt.Errorf("bad seed range %q: %v", s, err)
+	lo, err := strconv.ParseUint(a, 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("bad seed range %q: %v", s, err)
 	}
-	if hi, err = strconv.ParseUint(b, 10, 64); err != nil {
-		return 0, 0, fmt.Errorf("bad seed range %q: %v", s, err)
+	hi, err := strconv.ParseUint(b, 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("bad seed range %q: %v", s, err)
 	}
 	if hi < lo {
-		return 0, 0, fmt.Errorf("bad seed range %q: %d > %d", s, lo, hi)
+		return nil, fmt.Errorf("bad seed range %q: %d > %d", s, lo, hi)
 	}
 	const maxSeeds = 1 << 20
 	if hi-lo+1 > maxSeeds || hi-lo+1 == 0 {
-		return 0, 0, fmt.Errorf("seed range %q spans more than %d seeds", s, maxSeeds)
+		return nil, fmt.Errorf("seed range %q spans more than %d seeds", s, maxSeeds)
 	}
-	return lo, hi, nil
+	seeds := make([]uint64, 0, hi-lo+1)
+	for seed := lo; ; seed++ {
+		seeds = append(seeds, seed)
+		if seed == hi {
+			return seeds, nil
+		}
+	}
 }
 
+// report prints the run verb's reports and exits non-zero if any run
+// failed to assemble or failed an assertion.
 func report(results []scenario.SweepResult, jsonOut bool) {
-	if jsonOut {
-		reps := make([]*scenario.Report, 0, len(results))
-		for _, r := range results {
-			if r.Err != nil {
-				fatal("%s: %v", r.Manifest.Name, r.Err)
-			}
-			reps = append(reps, r.Report)
-		}
-		emitJSON(reps)
-	}
+	reps := make([]*scenario.Report, 0, len(results))
 	failed := 0
 	for _, r := range results {
 		if r.Err != nil {
 			fatal("%s: %v", r.Manifest.Name, r.Err)
 		}
-		rep := r.Report
-		if !jsonOut {
-			status := "PASS"
-			if !rep.Pass {
-				status = "FAIL"
-			}
+		reps = append(reps, r.Report)
+		if !r.Report.Pass {
+			failed++
+		}
+	}
+	if jsonOut {
+		emitJSON(reps)
+	} else {
+		for _, rep := range reps {
 			fmt.Printf("%-4s %-32s t=%-7d |CS|=%-2d %9d msgs %12d bytes\n",
-				status, rep.Name, rep.LastTick, len(rep.CS), rep.HonestMessages, rep.HonestBytes)
+				status(rep.Pass), rep.Name, rep.LastTick, len(rep.CS), rep.HonestMessages, rep.HonestBytes)
 			for _, f := range rep.Failures {
 				fmt.Printf("     assertion failed: %s\n", f)
 			}
-		}
-		if !rep.Pass {
-			failed++
 		}
 	}
 	if failed > 0 {
@@ -904,12 +802,42 @@ func report(results []scenario.SweepResult, jsonOut bool) {
 	}
 }
 
-func emitJSON(v any) {
+func status(pass bool) string {
+	if pass {
+		return "PASS"
+	}
+	return "FAIL"
+}
+
+// writeJSON writes v as indented JSON and a newline.
+func writeJSON(w io.Writer, v any) error {
 	out, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(out, '\n'))
+	return err
+}
+
+func emitJSON(v any) {
+	if err := writeJSON(os.Stdout, v); err != nil {
+		fatal("%v", err)
+	}
+}
+
+// writeFile creates path and fills it through fn, exiting on any error.
+func writeFile(path string, fn func(io.Writer) error) {
+	f, err := os.Create(path)
 	if err != nil {
 		fatal("%v", err)
 	}
-	os.Stdout.Write(append(out, '\n'))
+	if err := fn(f); err != nil {
+		f.Close()
+		fatal("%s: %v", path, err)
+	}
+	if err := f.Close(); err != nil {
+		fatal("%s: %v", path, err)
+	}
 }
 
 func fatal(format string, args ...any) {

@@ -56,6 +56,17 @@ func TestVerbDispatch(t *testing.T) {
 	if err := os.WriteFile(replayManifest, []byte(replay), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	workloadManifest := filepath.Join(t.TempDir(), "workload.json")
+	workload := `{
+  "name": "trace-wl",
+  "parties": {"n": 5, "ts": 1, "ta": 1},
+  "network": {"kind": "sync", "delta": 10},
+  "seed": 1,
+  "workload": {"steps": [{"circuit": {"family": "sum"}}]}
+}`
+	if err := os.WriteFile(workloadManifest, []byte(workload), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	tests := []struct {
 		name     string
 		args     []string
@@ -76,7 +87,9 @@ func TestVerbDispatch(t *testing.T) {
 		{"run needs names", []string{"run"}, 2, "", "Usage of scenario run"},
 		{"run one scenario", []string{"run", "sync-boundary-n5"}, 0, "PASS sync-boundary-n5", ""},
 		{"run has no workers flag", []string{"run", "-workers", "4", "sync-sum-honest"}, 2, "", "flag provided but not defined: -workers"},
-		{"sweep bad seed range", []string{"sweep", "-seeds", "9..1", "sync-sum-honest"}, 1, "", "bad seed range"},
+		{"run bad seed range", []string{"run", "-seeds", "9..1", "sync-sum-honest"}, 1, "", "bad seed range"},
+		{"run seeds", []string{"run", "-seeds", "1..2", "sync-sum-honest"}, 0, "PASS sync-sum-honest-seed2", ""},
+		{"sweep is not a verb", []string{"sweep", "-seeds", "1..2", "sync-sum-honest"}, 1, "", "unknown subcommand"},
 		{"fuzz rejects positional args", []string{"fuzz", "extra"}, 1, "", "no positional arguments"},
 		{"fuzz bad inject", []string{"fuzz", "-inject", "nope"}, 1, "", "unknown -inject mode"},
 		{"fuzz replay missing file", []string{"fuzz", "-replay", "/no/such/file.json"}, 1, "", "no such file"},
@@ -88,6 +101,7 @@ func TestVerbDispatch(t *testing.T) {
 		{"list shows workloads", []string{"list"}, 0, "workload-amortize-sync", ""},
 		{"trace needs a name", []string{"trace"}, 2, "", "Usage of scenario trace"},
 		{"trace unknown name", []string{"trace", "no-such-thing"}, 1, "", "no builtin scenario or workload"},
+		{"trace workload file", []string{"trace", "-f", workloadManifest}, 0, "workload trace-wl: 1 evals", ""},
 		{"trace validate is exclusive", []string{"trace", "-validate", "x.json", "sync-sum-honest"}, 1, "", "-validate takes no other"},
 		{"fuzz trace needs replay", []string{"fuzz", "-trace"}, 1, "", "-trace/-trace-out require -replay"},
 	}

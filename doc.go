@@ -5,8 +5,7 @@
 // The public API lives in the mpc, circuit, field and poly packages;
 // the protocol stack (Acast, phase-king SBA, ABA, ΠBC, ΠBA, ΠWPS,
 // ΠVSS, ΠACS, the Beaver-triple preprocessing and ΠCirEval) lives
-// under internal/. See README.md for the architecture overview,
-// DESIGN.md for the system inventory and experiment index, and
-// EXPERIMENTS.md for the paper-vs-measured record. The root-level
-// benchmarks in bench_test.go regenerate every experiment row.
+// under internal/. See README.md for the architecture overview and
+// docs/ for the design notes. The root-level benchmarks in
+// bench_test.go regenerate every experiment row.
 package repro

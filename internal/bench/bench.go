@@ -1,14 +1,11 @@
-// Package bench contains the experiment runners behind both the
-// repository-root testing.B benchmarks and the cmd/benchtables table
-// generator. Each runner executes one configuration of one experiment
-// (E1..E13) on the simulator and returns the measured communication
-// and virtual-time figures, which the tables compare against the
-// paper's bounds.
+// Package bench contains the experiment runners behind the
+// repository-root testing.B benchmarks. Each runner executes one
+// configuration of one experiment (E1..E13) on the simulator and
+// returns the measured communication and virtual-time figures, which
+// the benchmarks report next to the paper's bounds.
 package bench
 
 import (
-	"fmt"
-
 	"repro/circuit"
 	"repro/field"
 	"repro/internal/aba"
@@ -80,202 +77,119 @@ const (
 	MulDeepPerGateMsgsBaseline uint64 = 4224
 )
 
-// E1Acast measures Bracha's reliable broadcast (Lemma 2.4) with an
-// honest sender and payload size l bytes.
-func E1Acast(n, l int, seed uint64) Measure {
-	cfg := cfgFor(n)
-	w := proto.NewWorld(proto.WorldOpts{Cfg: cfg, Network: proto.Sync, Seed: seed})
-	var last sim.Time
-	delivered := 0
-	casts := make([]*acast.Acast, n+1)
-	for i := 1; i <= n; i++ {
-		casts[i] = acast.New(w.Runtimes[i], "acast", 1, cfg.Ts, func(m []byte) {
-			delivered++
-			if w.Sched.Now() > last {
-				last = w.Sched.Now()
-			}
-		})
-	}
-	casts[1].Broadcast(make([]byte, l))
-	w.RunToQuiescence()
-	return Measure{
-		HonestMsgs:  w.Metrics().HonestMessages(),
-		HonestBytes: w.Metrics().HonestBytes(),
-		LastOutput:  last,
-		Bound:       3 * cfg.Delta,
-		Events:      w.Sched.Processed(),
-		OK:          delivered == n && last <= 3*cfg.Delta,
-	}
-}
-
-// E4BC measures ΠBC (Theorem 3.5) with an honest sender, sync network.
-func E4BC(n, l int, seed uint64) Measure {
-	cfg := cfgFor(n)
+// measureLayer runs one protocol layer on a fresh synchronous World:
+// build creates party i's instance with done as its output callback
+// (done(false) marks a wrong output), start kicks the run off, and the
+// Measure is OK when every party output correctly by bound.
+func measureLayer(cfg proto.Config, seed uint64, bound sim.Time, build func(w *proto.World, i int, done func(ok bool)), start func()) Measure {
 	w := proto.NewWorld(proto.WorldOpts{Cfg: cfg, Network: proto.Sync, Seed: seed})
 	var last sim.Time
 	good := 0
-	bcs := make([]*bc.BC, n+1)
-	for i := 1; i <= n; i++ {
-		bcs[i] = bc.New(w.Runtimes[i], "bc", 1, cfg.Ts, cfg.Delta, 0, func(m []byte) {
-			if m != nil {
+	for i := 1; i <= cfg.N; i++ {
+		build(w, i, func(ok bool) {
+			if ok {
 				good++
 			}
 			if w.Sched.Now() > last {
 				last = w.Sched.Now()
 			}
-		}, nil)
+		})
 	}
-	bcs[1].Broadcast(make([]byte, l))
+	start()
 	w.RunToQuiescence()
-	bound := bc.Deadline(cfg.Ts, cfg.Delta)
 	return Measure{
 		HonestMsgs:  w.Metrics().HonestMessages(),
 		HonestBytes: w.Metrics().HonestBytes(),
 		LastOutput:  last,
 		Bound:       bound,
 		Events:      w.Sched.Processed(),
-		OK:          good == n && last == bound,
+		OK:          good == cfg.N && last <= bound,
 	}
+}
+
+// randomPolys draws l random polynomials of degree ts.
+func randomPolys(r *rand.Rand, l, ts int) []poly.Poly {
+	qs := make([]poly.Poly, l)
+	for i := range qs {
+		qs[i] = poly.Random(r, ts, field.Random(r))
+	}
+	return qs
+}
+
+// E1Acast measures Bracha's reliable broadcast (Lemma 2.4) with an
+// honest sender and payload size l bytes.
+func E1Acast(n, l int, seed uint64) Measure {
+	cfg := cfgFor(n)
+	casts := make([]*acast.Acast, n+1)
+	return measureLayer(cfg, seed, 3*cfg.Delta, func(w *proto.World, i int, done func(bool)) {
+		casts[i] = acast.New(w.Runtimes[i], "acast", 1, cfg.Ts, func([]byte) { done(true) })
+	}, func() { casts[1].Broadcast(make([]byte, l)) })
+}
+
+// E4BC measures ΠBC (Theorem 3.5) with an honest sender, sync network.
+func E4BC(n, l int, seed uint64) Measure {
+	cfg := cfgFor(n)
+	bound := bc.Deadline(cfg.Ts, cfg.Delta)
+	bcs := make([]*bc.BC, n+1)
+	m := measureLayer(cfg, seed, bound, func(w *proto.World, i int, done func(bool)) {
+		bcs[i] = bc.New(w.Runtimes[i], "bc", 1, cfg.Ts, cfg.Delta, 0, func(m []byte) { done(m != nil) }, nil)
+	}, func() { bcs[1].Broadcast(make([]byte, l)) })
+	// Regular mode outputs at exactly TBC.
+	m.OK = m.OK && m.LastOutput == bound
+	return m
 }
 
 // E5BA measures ΠBA (Theorem 3.6) with unanimous inputs, sync network.
 func E5BA(n int, seed uint64) Measure {
 	cfg := cfgFor(n)
-	w := proto.NewWorld(proto.WorldOpts{Cfg: cfg, Network: proto.Sync, Seed: seed})
 	coin := aba.DefaultCoin(seed)
-	var last sim.Time
-	agreed := 0
 	bas := make([]*ba.BA, n+1)
-	for i := 1; i <= n; i++ {
-		bas[i] = ba.New(w.Runtimes[i], "ba", cfg.Ts, cfg.Delta, 0, coin, func(v uint8) {
-			if v == 1 {
-				agreed++
-			}
-			if w.Sched.Now() > last {
-				last = w.Sched.Now()
-			}
-		})
-	}
-	for i := 1; i <= n; i++ {
-		bas[i].Start(1)
-	}
-	w.RunToQuiescence()
-	bound := ba.Deadline(cfg.Ts, cfg.Delta, cfg.CoinRounds)
-	return Measure{
-		HonestMsgs:  w.Metrics().HonestMessages(),
-		HonestBytes: w.Metrics().HonestBytes(),
-		LastOutput:  last,
-		Bound:       bound,
-		Events:      w.Sched.Processed(),
-		OK:          agreed == n && last <= bound,
-	}
+	return measureLayer(cfg, seed, ba.Deadline(cfg.Ts, cfg.Delta, cfg.CoinRounds), func(w *proto.World, i int, done func(bool)) {
+		bas[i] = ba.New(w.Runtimes[i], "ba", cfg.Ts, cfg.Delta, 0, coin, func(v uint8) { done(v == 1) })
+	}, func() {
+		for i := 1; i <= n; i++ {
+			bas[i].Start(1)
+		}
+	})
 }
 
 // E6WPS measures ΠWPS (Theorem 4.8) with an honest dealer and L
 // polynomials, sync network.
 func E6WPS(cfg proto.Config, l int, seed uint64) Measure {
-	w := proto.NewWorld(proto.WorldOpts{Cfg: cfg, Network: proto.Sync, Seed: seed})
 	coin := aba.DefaultCoin(seed)
-	r := rand.New(rand.NewPCG(seed, 1))
-	qs := make([]poly.Poly, l)
-	for i := range qs {
-		qs[i] = poly.Random(r, cfg.Ts, field.Random(r))
-	}
-	var last sim.Time
-	done := 0
+	qs := randomPolys(rand.New(rand.NewPCG(seed, 1)), l, cfg.Ts)
 	insts := make([]*wps.WPS, cfg.N+1)
-	for i := 1; i <= cfg.N; i++ {
-		insts[i] = wps.New(w.Runtimes[i], "wps", 1, l, cfg, coin, 0, func(s []field.Element) {
-			done++
-			if w.Sched.Now() > last {
-				last = w.Sched.Now()
-			}
-		})
-	}
-	insts[1].Start(qs)
-	w.RunToQuiescence()
-	bound := wps.Deadline(cfg)
-	return Measure{
-		HonestMsgs:  w.Metrics().HonestMessages(),
-		HonestBytes: w.Metrics().HonestBytes(),
-		LastOutput:  last,
-		Bound:       bound,
-		Events:      w.Sched.Processed(),
-		OK:          done == cfg.N && last <= bound,
-	}
+	return measureLayer(cfg, seed, wps.Deadline(cfg), func(w *proto.World, i int, done func(bool)) {
+		insts[i] = wps.New(w.Runtimes[i], "wps", 1, l, cfg, coin, 0, func([]field.Element) { done(true) })
+	}, func() { insts[1].Start(qs) })
 }
 
 // E7VSS measures ΠVSS (Theorem 4.16), honest dealer, sync network.
 func E7VSS(cfg proto.Config, l int, seed uint64) Measure {
-	w := proto.NewWorld(proto.WorldOpts{Cfg: cfg, Network: proto.Sync, Seed: seed})
 	coin := aba.DefaultCoin(seed)
-	r := rand.New(rand.NewPCG(seed, 2))
-	qs := make([]poly.Poly, l)
-	for i := range qs {
-		qs[i] = poly.Random(r, cfg.Ts, field.Random(r))
-	}
-	var last sim.Time
-	done := 0
+	qs := randomPolys(rand.New(rand.NewPCG(seed, 2)), l, cfg.Ts)
 	insts := make([]*vss.VSS, cfg.N+1)
-	for i := 1; i <= cfg.N; i++ {
-		insts[i] = vss.New(w.Runtimes[i], "vss", 1, l, cfg, coin, 0, func(s []field.Element) {
-			done++
-			if w.Sched.Now() > last {
-				last = w.Sched.Now()
-			}
-		})
-	}
-	insts[1].Start(qs)
-	w.RunToQuiescence()
-	bound := vss.Deadline(cfg)
-	return Measure{
-		HonestMsgs:  w.Metrics().HonestMessages(),
-		HonestBytes: w.Metrics().HonestBytes(),
-		LastOutput:  last,
-		Bound:       bound,
-		Events:      w.Sched.Processed(),
-		OK:          done == cfg.N && last <= bound,
-	}
+	return measureLayer(cfg, seed, vss.Deadline(cfg), func(w *proto.World, i int, done func(bool)) {
+		insts[i] = vss.New(w.Runtimes[i], "vss", 1, l, cfg, coin, 0, func([]field.Element) { done(true) })
+	}, func() { insts[1].Start(qs) })
 }
 
 // E8ACS measures ΠACS (Lemma 5.1), all dealers honest, sync network.
 func E8ACS(cfg proto.Config, l int, seed uint64) Measure {
-	w := proto.NewWorld(proto.WorldOpts{Cfg: cfg, Network: proto.Sync, Seed: seed})
 	coin := aba.DefaultCoin(seed)
 	r := rand.New(rand.NewPCG(seed, 3))
-	var last sim.Time
-	done := 0
 	insts := make([]*acs.ACS, cfg.N+1)
-	for i := 1; i <= cfg.N; i++ {
-		insts[i] = acs.New(w.Runtimes[i], "acs", l, cfg, coin, 0, func(cs []int, _ map[int][]field.Element) {
-			done++
-			if w.Sched.Now() > last {
-				last = w.Sched.Now()
-			}
-		})
-	}
-	for i := 1; i <= cfg.N; i++ {
-		qs := make([]poly.Poly, l)
-		for k := range qs {
-			qs[k] = poly.Random(r, cfg.Ts, field.Random(r))
+	return measureLayer(cfg, seed, acs.Deadline(cfg), func(w *proto.World, i int, done func(bool)) {
+		insts[i] = acs.New(w.Runtimes[i], "acs", l, cfg, coin, 0, func([]int, map[int][]field.Element) { done(true) })
+	}, func() {
+		for i := 1; i <= cfg.N; i++ {
+			insts[i].Start(randomPolys(r, l, cfg.Ts))
 		}
-		insts[i].Start(qs)
-	}
-	w.RunToQuiescence()
-	bound := acs.Deadline(cfg)
-	return Measure{
-		HonestMsgs:  w.Metrics().HonestMessages(),
-		HonestBytes: w.Metrics().HonestBytes(),
-		LastOutput:  last,
-		Bound:       bound,
-		Events:      w.Sched.Processed(),
-		OK:          done == cfg.N && last <= bound,
-	}
+	})
 }
 
 // E9Beaver measures a single ΠBeaver multiplication (Lemma 6.1).
 func E9Beaver(cfg proto.Config, seed uint64) Measure {
-	w := proto.NewWorld(proto.WorldOpts{Cfg: cfg, Network: proto.Sync, Seed: seed})
 	r := rand.New(rand.NewPCG(seed, 4))
 	x, y, a := field.Random(r), field.Random(r), field.Random(r)
 	bb := field.Random(r)
@@ -283,60 +197,28 @@ func E9Beaver(cfg proto.Config, seed uint64) Measure {
 		return poly.Random(r, cfg.Ts, v).Shares(cfg.N)
 	}
 	xs, ys, as, bs, cs := shares(x), shares(y), shares(a), shares(bb), shares(a.Mul(bb))
-	var last sim.Time
-	done := 0
 	insts := make([]*triples.Beaver, cfg.N+1)
-	for i := 1; i <= cfg.N; i++ {
-		insts[i] = triples.NewBeaver(w.Runtimes[i], "bv", cfg, func(z field.Element) {
-			done++
-			if w.Sched.Now() > last {
-				last = w.Sched.Now()
-			}
-		})
-	}
-	for i := 1; i <= cfg.N; i++ {
-		insts[i].Start(xs[i-1], ys[i-1], as[i-1], bs[i-1], cs[i-1])
-	}
-	w.RunToQuiescence()
-	return Measure{
-		HonestMsgs:  w.Metrics().HonestMessages(),
-		HonestBytes: w.Metrics().HonestBytes(),
-		LastOutput:  last,
-		Bound:       cfg.Delta,
-		Events:      w.Sched.Processed(),
-		OK:          done == cfg.N && last <= cfg.Delta,
-	}
+	return measureLayer(cfg, seed, cfg.Delta, func(w *proto.World, i int, done func(bool)) {
+		insts[i] = triples.NewBeaver(w.Runtimes[i], "bv", cfg, func(field.Element) { done(true) })
+	}, func() {
+		for i := 1; i <= cfg.N; i++ {
+			insts[i].Start(xs[i-1], ys[i-1], as[i-1], bs[i-1], cs[i-1])
+		}
+	})
 }
 
 // E10Preprocessing measures ΠPreProcessing (Theorem 6.5) for cM
 // triples, sync network.
 func E10Preprocessing(cfg proto.Config, cM int, seed uint64) Measure {
-	w := proto.NewWorld(proto.WorldOpts{Cfg: cfg, Network: proto.Sync, Seed: seed})
 	coin := aba.DefaultCoin(seed)
-	var last sim.Time
-	done := 0
 	insts := make([]*triples.Preprocessing, cfg.N+1)
-	for i := 1; i <= cfg.N; i++ {
-		insts[i] = triples.NewPreprocessing(w.Runtimes[i], "pp", cM, cfg, coin, 0, func(ts []triples.Triple) {
-			done++
-			if w.Sched.Now() > last {
-				last = w.Sched.Now()
-			}
-		})
-	}
-	for i := 1; i <= cfg.N; i++ {
-		insts[i].Start()
-	}
-	w.RunToQuiescence()
-	bound := triples.PreprocessingDeadline(cfg)
-	return Measure{
-		HonestMsgs:  w.Metrics().HonestMessages(),
-		HonestBytes: w.Metrics().HonestBytes(),
-		LastOutput:  last,
-		Bound:       bound,
-		Events:      w.Sched.Processed(),
-		OK:          done == cfg.N && last <= bound,
-	}
+	return measureLayer(cfg, seed, triples.PreprocessingDeadline(cfg), func(w *proto.World, i int, done func(bool)) {
+		insts[i] = triples.NewPreprocessing(w.Runtimes[i], "pp", cM, cfg, coin, 0, func([]triples.Triple) { done(true) })
+	}, func() {
+		for i := 1; i <= cfg.N; i++ {
+			insts[i].Start()
+		}
+	})
 }
 
 // E11CirEval measures the full MPC engine on a circuit, via the public
@@ -522,14 +404,4 @@ func E12Matrix(mode MatrixMode, network mpc.Network, faults int, seed uint64) (o
 		return false, true
 	}
 	return res.Outputs[0] == want[0] && res.AllHonestTerminated(adv), true
-}
-
-// FormatRow renders a measure for the tables.
-func FormatRow(label string, m Measure) string {
-	status := "ok"
-	if !m.OK {
-		status = "VIOLATED"
-	}
-	return fmt.Sprintf("%-28s %10d msgs %14d bytes   t=%6d (bound %6d)  %s",
-		label, m.HonestMsgs, m.HonestBytes, m.LastOutput, m.Bound, status)
 }

@@ -9,7 +9,7 @@ import (
 
 // Every experiment runner must satisfy its own correctness predicate
 // at the default configuration; the full sweeps live in bench_test.go
-// at the repository root and cmd/benchtables.
+// at the repository root.
 
 func TestRunnersSatisfyInvariants(t *testing.T) {
 	if m := E1Acast(8, 32, 1); !m.OK {
@@ -75,16 +75,5 @@ func TestConfigHelpers(t *testing.T) {
 	}
 	if Config8().Ts != 2 || Config8().Ta != 1 || Config5().Ts != 1 {
 		t.Error("flagship configs wrong")
-	}
-}
-
-func TestFormatRow(t *testing.T) {
-	s := FormatRow("x", Measure{OK: true})
-	if s == "" {
-		t.Fatal("empty row")
-	}
-	bad := FormatRow("x", Measure{OK: false})
-	if bad == s {
-		t.Fatal("violation not visible in row")
 	}
 }

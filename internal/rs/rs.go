@@ -24,71 +24,6 @@ import (
 // received points within the allowed error budget.
 var ErrDecodeFailed = errors.New("rs: decoding failed")
 
-// Decode runs Berlekamp–Welch on the given points: it finds a polynomial
-// q of degree ≤ d such that q disagrees with at most e of the points.
-// It requires len(points) ≥ d + 2e + 1 and distinct X coordinates.
-//
-// Decode is the naive reference decoder: it allocates its elimination
-// matrix per call and performs no caching. The incremental OEC decoder
-// below is differentially tested against it.
-func Decode(points []poly.Point, d, e int) (poly.Poly, error) {
-	m := len(points)
-	if d < 0 || e < 0 {
-		return poly.Poly{}, fmt.Errorf("rs: invalid parameters d=%d e=%d", d, e)
-	}
-	if m < d+2*e+1 {
-		return poly.Poly{}, fmt.Errorf("rs: need %d points for d=%d e=%d, have %d", d+2*e+1, d, e, m)
-	}
-	if e == 0 {
-		q, err := poly.Interpolate(points[:d+1])
-		if err != nil {
-			return poly.Poly{}, err
-		}
-		if q.Degree() > d {
-			return poly.Poly{}, ErrDecodeFailed
-		}
-		if countAgreements(q, points) != m {
-			return poly.Poly{}, ErrDecodeFailed
-		}
-		return q, nil
-	}
-
-	// Unknowns: E(x) monic of degree e (e unknown coefficients e_0..e_{e-1})
-	// and Q(x) of degree ≤ d+e (d+e+1 unknowns), satisfying for every
-	// received point (x_i, y_i):  Q(x_i) = y_i · E(x_i).
-	// With E monic: Q(x_i) - y_i·(e_0 + e_1 x_i + … + e_{e-1} x_i^{e-1})
-	//             = y_i · x_i^e.
-	nq := d + e + 1
-	ne := e
-	cols := nq + ne
-	// Build the augmented matrix.
-	mat := make([][]field.Element, m)
-	for i, p := range points {
-		row := make([]field.Element, cols+1)
-		xp := field.One
-		for k := 0; k < nq; k++ { // Q coefficients
-			row[k] = xp
-			xp = xp.Mul(p.X)
-		}
-		xp = field.One
-		for k := 0; k < ne; k++ { // E coefficients (negated, times y_i)
-			row[nq+k] = p.Y.Mul(xp).Neg()
-			xp = xp.Mul(p.X)
-		}
-		row[cols] = p.Y.Mul(p.X.Pow(uint64(e))) // RHS
-		mat[i] = row
-	}
-	sol, ok := solve(mat, cols)
-	if !ok {
-		return poly.Poly{}, ErrDecodeFailed
-	}
-	q, ok := divideOut(sol, d, e)
-	if !ok {
-		return poly.Poly{}, ErrDecodeFailed
-	}
-	return q, nil
-}
-
 // divideOut recovers q = Q/E from a Berlekamp–Welch solution vector,
 // reporting false when the division is inexact or the degree too high.
 func divideOut(sol []field.Element, d, e int) (poly.Poly, bool) {

@@ -94,6 +94,9 @@ func New(rt *proto.Runtime, inst string, dealer, l int, cfg proto.Config, coin a
 		shareFrom: make(map[int][]field.Element),
 		onOutput:  onOutput,
 	}
+	// Register comes first so the instance's trace event precedes its
+	// children's. It replays buffered traffic (a late joiner) before the
+	// core exists; recheck at the end redoes what waited for the core.
 	rt.Register(inst, v)
 	// Sub-WPS instances are structurally anchored at T0 + Δ: with an
 	// honest D in a synchronous network every party holds its rows
@@ -118,6 +121,7 @@ func New(rt *proto.Runtime, inst string, dealer, l int, cfg proto.Config, coin a
 		},
 		OnUpdate: func() { v.maybeOutput() },
 	})
+	v.recheck()
 	return v
 }
 
@@ -201,6 +205,12 @@ func (v *VSS) Deliver(from int, msgType uint8, body []byte) {
 	}
 	v.myRows = rows
 	v.rt.At(v.gridNext(), func() { v.invokeOwnWPS() })
+	v.recheck()
+}
+
+// recheck runs every pair check whose inputs have arrived, then the
+// output check.
+func (v *VSS) recheck() {
 	// Deterministic replay order: map iteration order must not leak
 	// into the late-announcement send order.
 	for j := 1; j <= v.cfg.N; j++ {
@@ -224,7 +234,7 @@ func (v *VSS) invokeOwnWPS() {
 // both our rows and the wps-share from Π(j)WPS are available: OK iff
 // q_j^(ℓ)(α_me) = q_me^(ℓ)(α_j) for every ℓ.
 func (v *VSS) checkPair(j int) {
-	if v.myRows == nil {
+	if v.myRows == nil || v.core == nil {
 		return
 	}
 	shares, ok := v.shareFrom[j]
@@ -245,7 +255,7 @@ func (v *VSS) checkPair(j int) {
 
 // maybeOutput drives the two output paths of Fig 4's local computation.
 func (v *VSS) maybeOutput() {
-	if v.done {
+	if v.done || v.core == nil {
 		return
 	}
 	out, ok := v.core.BAOutput()

@@ -388,3 +388,31 @@ func TestDealerEquivocatingRowsAsync(t *testing.T) {
 		}
 	}
 }
+
+// TestLateJoinerBuffersDealerShare covers delayed participation (the
+// proto package's buffered replay): party 2 builds its instance only
+// after the dealer's share reached it, so the share replays inside New.
+// Every party, the late one included, must still output its share.
+func TestLateJoinerBuffersDealerShare(t *testing.T) {
+	c := cfg5()
+	w := proto.NewWorld(proto.WorldOpts{Cfg: c, Network: proto.Sync, Seed: 1})
+	coin := aba.DefaultCoin(1)
+	insts := make([]*VSS, c.N+1)
+	outs := make([][]field.Element, c.N+1)
+	build := func(i int) {
+		insts[i] = New(w.Runtimes[i], "vss", 1, 1, c, coin, 0, func(s []field.Element) { outs[i] = s })
+	}
+	for _, i := range []int{1, 3, 4, 5} {
+		build(i)
+	}
+	qs := randPolys(rand.New(rand.NewPCG(1, 7)), 1, c.Ts)
+	insts[1].Start(qs)
+	w.RunUntil(c.Delta)
+	build(2)
+	w.RunToQuiescence()
+	for i := 1; i <= c.N; i++ {
+		if outs[i] == nil || outs[i][0] != qs[0].Eval(poly.Alpha(i)) {
+			t.Fatalf("party %d: share %v, want q(α_%d)", i, outs[i], i)
+		}
+	}
+}

@@ -87,6 +87,9 @@ func New(rt *proto.Runtime, inst string, dealer, l int, cfg proto.Config, coin a
 		havePoints: make(map[int][]field.Element),
 		onOutput:   onOutput,
 	}
+	// Register comes first so the instance's trace event precedes its
+	// children's. It replays buffered traffic (a late joiner) before the
+	// core exists; recheck at the end redoes what waited for the core.
 	rt.Register(inst, w)
 	w.core = consist.NewCore(rt, proto.Join(inst, "c"), dealer, cfg, coin, start+2*cfg.Delta, consist.Callbacks{
 		VerifyNOK: func(i, j, idx int, val field.Element) bool {
@@ -97,6 +100,7 @@ func New(rt *proto.Runtime, inst string, dealer, l int, cfg proto.Config, coin a
 		},
 		OnUpdate: func() { w.maybeOutput() },
 	})
+	w.recheck()
 	return w
 }
 
@@ -197,14 +201,7 @@ func (w *WPS) Deliver(from int, msgType uint8, body []byte) {
 		}
 		w.myRows = rows
 		w.rt.At(w.gridNext(), func() { w.sendPoints() })
-		// Deterministic replay order: map iteration order must not leak
-		// into the late-announcement send order.
-		for j := 1; j <= w.cfg.N; j++ {
-			if _, ok := w.havePoints[j]; ok {
-				w.checkPair(j)
-			}
-		}
-		w.maybeOutput()
+		w.recheck()
 	case MsgPoints:
 		if _, dup := w.havePoints[from]; dup {
 			return
@@ -218,6 +215,19 @@ func (w *WPS) Deliver(from int, msgType uint8, body []byte) {
 		w.checkPair(from)
 		w.feedOEC(from, pts)
 	}
+}
+
+// recheck runs every pair check whose inputs have arrived, then the
+// output check.
+func (w *WPS) recheck() {
+	// Deterministic replay order: map iteration order must not leak
+	// into the late-announcement send order.
+	for j := 1; j <= w.cfg.N; j++ {
+		if _, ok := w.havePoints[j]; ok {
+			w.checkPair(j)
+		}
+	}
+	w.maybeOutput()
 }
 
 func (w *WPS) sendPoints() {
@@ -237,7 +247,7 @@ func (w *WPS) sendPoints() {
 // checkPair evaluates the pair-wise consistency check with party j once
 // both our rows and j's points are available.
 func (w *WPS) checkPair(j int) {
-	if w.myRows == nil {
+	if w.myRows == nil || w.core == nil {
 		return
 	}
 	pts, ok := w.havePoints[j]
@@ -258,7 +268,7 @@ func (w *WPS) checkPair(j int) {
 
 // maybeOutput drives the two output paths of Fig 3's local computation.
 func (w *WPS) maybeOutput() {
-	if w.done {
+	if w.done || w.core == nil {
 		return
 	}
 	out, ok := w.core.BAOutput()

@@ -371,3 +371,31 @@ func TestNonDealerStartPanics(t *testing.T) {
 	}()
 	h.insts[2].Start(randPolys(rand.New(rand.NewPCG(1, 2)), 1, w.Cfg.Ts))
 }
+
+// TestLateJoinerBuffersDealerShare covers delayed participation (the
+// proto package's buffered replay): party 2 builds its instance only
+// after the dealer's rows reached it, so the rows replay inside New.
+// Every party, the late one included, must still output its share.
+func TestLateJoinerBuffersDealerShare(t *testing.T) {
+	c := cfg5()
+	w := proto.NewWorld(proto.WorldOpts{Cfg: c, Network: proto.Sync, Seed: 1})
+	coin := aba.DefaultCoin(1)
+	insts := make([]*WPS, c.N+1)
+	outs := make([][]field.Element, c.N+1)
+	build := func(i int) {
+		insts[i] = New(w.Runtimes[i], "wps", 1, 1, c, coin, 0, func(s []field.Element) { outs[i] = s })
+	}
+	for _, i := range []int{1, 3, 4, 5} {
+		build(i)
+	}
+	q := poly.Random(rand.New(rand.NewPCG(1, 7)), c.Ts, field.New(42))
+	insts[1].Start([]poly.Poly{q})
+	w.RunUntil(c.Delta)
+	build(2)
+	w.RunToQuiescence()
+	for i := 1; i <= c.N; i++ {
+		if outs[i] == nil || outs[i][0] != q.Eval(poly.Alpha(i)) {
+			t.Fatalf("party %d: share %v, want q(α_%d)", i, outs[i], i)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -348,9 +347,10 @@ type ServeReport struct {
 
 // Serve runs the deployment as a long-lived serving session: one
 // engine (optionally restored from the set's checkpoint) preprocesses
-// once and serves the workload's steps `rounds` times over, printing a
-// row per evaluation to w. It requires a workload reference — serving
-// is what the session engine exists for.
+// once and serves the workload's steps `rounds` times over, at the
+// workload's pipeline depth and refill watermarks, printing a row per
+// evaluation to w in step order. It requires a workload reference —
+// serving is what the session engine exists for.
 func (d *Deployment) Serve(w io.Writer, rounds int) (*ServeReport, error) {
 	if d.Manifest.Workload == nil {
 		return nil, fmt.Errorf("party set %q: serve needs a workload reference (one-shot scenarios deploy with Execute)", d.Set.Name)
@@ -362,15 +362,17 @@ func (d *Deployment) Serve(w io.Writer, rounds int) (*ServeReport, error) {
 		w = io.Discard
 	}
 	m := d.Manifest
-	cfg, adv := m.engineConfig()
-	eopts := mpc.EngineOptions{Adversary: adv, Transport: d.Spec}
-	var eng *mpc.Engine
-	var err error
-	if d.Resume != nil {
-		eng, err = mpc.RestoreEngineOpts(cfg, eopts, bytes.NewReader(d.Resume.Engine))
-	} else {
-		eng, err = mpc.NewEngineOpts(cfg, eopts)
+	depth := m.Workload.Pipeline
+	cfg, adv := m.workloadConfig(depth)
+	steps, muls, err := buildSteps(m, cfg, adv)
+	if err != nil {
+		return nil, fmt.Errorf("party set %q: %w", d.Set.Name, err)
 	}
+	var snapshot []byte
+	if d.Resume != nil {
+		snapshot = d.Resume.Engine
+	}
+	eng, err := openEngine(cfg, mpc.EngineOptions{Adversary: adv, Transport: d.Spec}, snapshot, max(1, muls*rounds))
 	if err != nil {
 		return nil, fmt.Errorf("party set %q: %w", d.Set.Name, err)
 	}
@@ -378,45 +380,40 @@ func (d *Deployment) Serve(w io.Writer, rounds int) (*ServeReport, error) {
 
 	rep := &ServeReport{Name: d.Set.Name, Backend: d.Backend(), Rounds: rounds, Addrs: eng.TransportAddrs()}
 	fmt.Fprintf(w, "serving %s (%s) over %s: n=%d ts=%d ta=%d, %d step(s) x %d round(s)\n",
-		d.Set.Name, m.Name, rep.Backend, cfg.N, cfg.Ts, cfg.Ta, len(m.Workload.Steps), rounds)
+		d.Set.Name, m.Name, rep.Backend, cfg.N, cfg.Ts, cfg.Ta, len(steps), rounds)
 	for i, addr := range rep.Addrs {
 		fmt.Fprintf(w, "  party %d listens on %s\n", i+1, addr)
 	}
 
-	steps, muls, err := buildSteps(m, cfg, adv)
+	start := time.Now()
+	err = serveSteps(eng, steps, 0, rounds*len(steps), depth, func(k int, res *mpc.Result, runErr error) error {
+		rep.Evals++
+		i := k % len(steps)
+		sr := workloadStepRow(m, i, steps[i], res, runErr)
+		if !sr.Pass {
+			rep.Failures++
+		}
+		fmt.Fprint(w, serveRow(k/len(steps)+1, sr))
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("party set %q: %w", d.Set.Name, err)
-	}
-	if d.Resume == nil {
-		if _, err := eng.Preprocess(max(1, muls*rounds)); err != nil {
-			return nil, fmt.Errorf("party set %q: preprocess: %w", d.Set.Name, err)
-		}
-	}
-
-	start := time.Now()
-	for r := 0; r < rounds; r++ {
-		for i, s := range steps {
-			res, runErr := evaluateRefilling(eng, s.art)
-			if runErr != nil && errors.Is(runErr, mpc.ErrTransport) {
-				return nil, fmt.Errorf("party set %q: round %d step %d: %w", d.Set.Name, r+1, i, runErr)
-			}
-			rep.Evals++
-			sr := workloadStepRow(m, i, s, res, runErr)
-			if !sr.Pass {
-				rep.Failures++
-			}
-			fmt.Fprintf(w, "  round %d step %d %-14s t=%-6d %8d msgs |CS|=%d ok=%v\n",
-				r+1, i, sr.Circuit, sr.Ticks, sr.HonestMessages, len(sr.CS), sr.Pass)
-			for _, f := range sr.Failures {
-				fmt.Fprintf(w, "      assertion failed: %s\n", f)
-			}
-		}
 	}
 	rep.WallMs = float64(time.Since(start).Microseconds()) / 1000
 	rep.Wire = eng.WireStats()
 	fmt.Fprintf(w, "served %d evaluation(s), %d failure(s), %.1f ms, %d wire bytes\n",
 		rep.Evals, rep.Failures, rep.WallMs, rep.Wire.BytesOut)
 	return rep, nil
+}
+
+// serveRow renders one served evaluation and its failed assertions.
+func serveRow(round int, sr WorkloadStepReport) string {
+	out := fmt.Sprintf("  round %d step %d %-14s t=%-6d %8d msgs |CS|=%d ok=%v\n",
+		round, sr.Index, sr.Circuit, sr.Ticks, sr.HonestMessages, len(sr.CS), sr.Pass)
+	for _, f := range sr.Failures {
+		out += fmt.Sprintf("      assertion failed: %s\n", f)
+	}
+	return out
 }
 
 // builtinPartySets is the registry of named built-in deployments.
@@ -485,5 +482,15 @@ func init() {
 		Parties:     boundaryN5,
 		Transport:   DeployTransport{Kind: "unix"},
 		Workload:    "workload-amortize-sync",
+	})
+	// deploy-unix-n5-pipeline carries pipelined EvaluateAsync epochs and
+	// background refills over real sockets: deploy-smoke cmp's its
+	// inner report against a -backend sim run and serves it.
+	registerPartySet(&PartySet{
+		Name:        "deploy-unix-n5-pipeline",
+		Description: "the depth-4 watermark-refill workload served over unix sockets",
+		Parties:     boundaryN5,
+		Transport:   DeployTransport{Kind: "unix"},
+		Workload:    "workload-pipeline-refill-sync",
 	})
 }

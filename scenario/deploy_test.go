@@ -229,8 +229,9 @@ func TestDeployEndpointCollision(t *testing.T) {
 }
 
 // TestServeSimBackend smoke-tests the serving loop over the simulator:
-// every workload step evaluates cleanly each round and the report
-// carries no wire traffic.
+// every workload step evaluates cleanly each round, the report carries
+// no wire traffic, and a pipelined workload is served at its own depth,
+// row for row as RunWorkloadOpts serves it.
 func TestServeSimBackend(t *testing.T) {
 	set, err := LookupPartySet("deploy-unix-n5-workload")
 	if err != nil {
@@ -256,6 +257,34 @@ func TestServeSimBackend(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "serving deploy-unix-n5-workload") {
 		t.Fatalf("serve log missing header:\n%s", buf.String())
+	}
+	pipelined := &PartySet{
+		Name:      "probe-pipeline",
+		Parties:   boundaryN5,
+		Transport: DeployTransport{Kind: "unix"},
+		Workload:  "workload-pipeline-sync",
+	}
+	pd, err := pipelined.Reify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pd.UseBackend("sim"); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if _, err := pd.Serve(&buf, 1); err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	wrep, err := RunWorkloadOpts(pd.Manifest, WorkloadRunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, sr := range wrep.Steps {
+		want.WriteString(serveRow(1, sr))
+	}
+	if !strings.Contains(buf.String(), want.String()) {
+		t.Fatalf("served rows differ from RunWorkloadOpts' steps:\n%s\nwant:\n%s", buf.String(), want.String())
 	}
 	// Serving is a workload concept: a one-shot scenario set refuses.
 	sd, err := validSet().Reify()

@@ -170,45 +170,58 @@ func RunWith(m *Manifest, opt RunOptions) (*Report, error) {
 		return nil, fmt.Errorf("scenario %q: %w", m.Name, err)
 	}
 	defer eng.Close()
-	rep := &Report{Name: m.Name}
 	res, runErr := eng.OneShot(art.Circuit, art.Inputs)
 	if opt.Wire != nil {
 		*opt.Wire = eng.WireStats()
 	}
-	if runErr != nil {
-		// A transport fault is an environment failure, not a protocol
-		// outcome: surface it as a hard error instead of a report row.
-		if errors.Is(runErr, mpc.ErrTransport) {
-			return nil, fmt.Errorf("scenario %q: %w", m.Name, runErr)
-		}
-		rep.Err = errName(runErr)
+	// A transport fault is an environment failure, not a protocol
+	// outcome: surface it as a hard error instead of a report row.
+	if runErr != nil && errors.Is(runErr, mpc.ErrTransport) {
+		return nil, fmt.Errorf("scenario %q: %w", m.Name, runErr)
 	}
+	rep := &Report{Name: m.Name}
+	rep.Err, rep.Outputs, rep.LastTick = digest(m.Adversary, res, runErr)
 	if res != nil {
-		corrupt := map[int]bool{}
-		for _, p := range m.Adversary.Corrupt() {
-			corrupt[p] = true
-		}
 		rep.CS = res.CS
 		rep.Deadline = res.Deadline
 		rep.HonestMessages = res.HonestMessages
 		rep.HonestBytes = res.HonestBytes
 		rep.ByFamily = res.ByFamily
 		rep.Events = res.Events
-		for i, t := range res.TerminatedAt {
-			if !corrupt[i] && t > rep.LastTick {
-				rep.LastTick = t
-			}
-		}
-		if runErr == nil {
-			rep.Outputs = make([]uint64, len(res.Outputs))
-			for i, o := range res.Outputs {
-				rep.Outputs[i] = o.Uint64()
-			}
-		}
 	}
-	rep.Failures = assert(m, art, res, runErr, rep.LastTick)
+	rep.Failures = assertExpect(m.Expect, m.Adversary, art, res, runErr, rep.LastTick, rep.LastTick)
 	rep.Pass = len(rep.Failures) == 0
 	return rep, nil
+}
+
+// digest is the part of an evaluation outcome that RunWith's Report and
+// a workload step's row share: the error's manifest name ("" on
+// success), the output values (successful runs only) and the virtual
+// time of the last honest termination (corrupt parties' engines keep
+// running honest code and may terminate later; they are excluded).
+func digest(adv AdversarySpec, res *mpc.Result, runErr error) (errStr string, outputs []uint64, lastHonest int64) {
+	if runErr != nil {
+		errStr = errName(runErr)
+	}
+	if res == nil {
+		return errStr, nil, 0
+	}
+	corrupt := map[int]bool{}
+	for _, p := range adv.Corrupt() {
+		corrupt[p] = true
+	}
+	for i, t := range res.TerminatedAt {
+		if !corrupt[i] && t > lastHonest {
+			lastHonest = t
+		}
+	}
+	if runErr == nil {
+		outputs = make([]uint64, len(res.Outputs))
+		for i, o := range res.Outputs {
+			outputs[i] = o.Uint64()
+		}
+	}
+	return errStr, outputs, lastHonest
 }
 
 // errName maps an engine error to its manifest name.
@@ -221,13 +234,6 @@ func errName(err error) string {
 	default:
 		return err.Error()
 	}
-}
-
-// assert evaluates the manifest's Expect block against the run result
-// and returns the violated assertions. lastHonest is the virtual time
-// of the last honest termination (Report.LastTick).
-func assert(m *Manifest, art *RunArtifacts, res *mpc.Result, runErr error, lastHonest int64) []string {
-	return assertExpect(m.Expect, m.Adversary, art, res, runErr, lastHonest, lastHonest)
 }
 
 // assertExpect evaluates one Expect block. lastAbs is the absolute

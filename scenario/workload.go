@@ -249,12 +249,8 @@ func RunWorkloadOpts(m *Manifest, opt WorkloadRunOptions) (*WorkloadReport, erro
 	if depth > 0 && (opt.CheckpointPath != "" || opt.StopAfter > 0 || opt.Resume != nil) {
 		return nil, fmt.Errorf("scenario %q: pipelined serving (depth %d) is incompatible with checkpoint/resume/stop-after: Snapshot refuses mid-pipeline; force sequential serving instead", m.Name, depth)
 	}
-	cfg, adv := m.engineConfig()
+	cfg, adv := m.workloadConfig(depth)
 	cfg.PerGateEval = opt.PerGateEval
-	if depth > 0 {
-		cfg.RefillLowWater = m.Workload.RefillLowWater
-		cfg.RefillBudget = m.Workload.RefillBudget
-	}
 	steps, muls, err := buildSteps(m, cfg, adv)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", m.Name, err)
@@ -265,12 +261,11 @@ func RunWorkloadOpts(m *Manifest, opt WorkloadRunOptions) (*WorkloadReport, erro
 		budget = max(1, muls)
 	}
 
-	var eng *mpc.Engine
-	var rep *WorkloadReport
+	rep := &WorkloadReport{Name: m.Name, Pass: true, Budget: budget}
 	var totalTicks int64
 	var oneShotTotal uint64
+	var snapshot []byte
 	startIdx := 0
-	eopts := mpc.EngineOptions{Adversary: adv, Tracer: opt.Tracer, Transport: opt.Transport}
 	if ck := opt.Resume; ck != nil {
 		if err := ck.matches(m, opt); err != nil {
 			return nil, fmt.Errorf("scenario %q: resume: %w", m.Name, err)
@@ -279,52 +274,29 @@ func RunWorkloadOpts(m *Manifest, opt WorkloadRunOptions) (*WorkloadReport, erro
 			return nil, fmt.Errorf("%w: checkpoint records %d completed steps, workload has %d",
 				mpc.ErrBadCheckpoint, ck.StepsDone, len(steps))
 		}
-		eng, err = mpc.RestoreEngineOpts(cfg, eopts, bytes.NewReader(ck.Engine))
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: resume: %w", m.Name, err)
-		}
+		snapshot = ck.Engine
 		rep = ck.Report
 		startIdx = ck.StepsDone
 		totalTicks = ck.TotalTicks
 		oneShotTotal = ck.OneShotTotal
-	} else {
-		eng, err = mpc.NewEngineOpts(cfg, eopts)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", m.Name, err)
-		}
+	}
+	eng, err := openEngine(cfg, mpc.EngineOptions{Adversary: adv, Tracer: opt.Tracer, Transport: opt.Transport}, snapshot, budget)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", m.Name, err)
 	}
 	defer eng.Close()
 	if opt.Wire != nil {
 		defer func() { *opt.Wire = eng.WireStats() }()
 	}
-	if opt.Resume == nil {
-		if _, err := eng.Preprocess(budget); err != nil {
-			return nil, fmt.Errorf("scenario %q: preprocess: %w", m.Name, err)
-		}
-		rep = &WorkloadReport{Name: m.Name, Pass: true, Budget: budget}
-	}
-	if depth > 0 {
-		if err := runWorkloadPipelined(m, eng, steps, rep, opt, depth, &totalTicks, &oneShotTotal); err != nil {
-			return nil, err
-		}
-		finalizeWorkloadReport(rep, eng, len(steps), totalTicks, oneShotTotal, opt.Compare)
-		return rep, nil
-	}
-	for i := startIdx; i < len(steps); i++ {
-		s := steps[i]
-		res, runErr := evaluateRefilling(eng, s.art)
-		// A transport fault is an environment failure, not a protocol
-		// outcome: surface it as a hard error instead of a step row.
-		if runErr != nil && errors.Is(runErr, mpc.ErrTransport) {
-			return nil, fmt.Errorf("scenario %q: step %d: %w", m.Name, i, runErr)
-		}
-		sr := workloadStepRow(m, i, s, res, runErr)
+	err = serveSteps(eng, steps, startIdx, len(steps), depth, func(i int, res *mpc.Result, runErr error) error {
+		sr := workloadStepRow(m, i, steps[i], res, runErr)
 		if !sr.Pass {
 			rep.Pass = false
 		}
 		totalTicks += sr.Ticks
 		if opt.Compare {
-			ref, _ := mpc.RunOpts(s.art.Cfg, mpc.EngineOptions{Adversary: s.art.Adversary}, s.art.Circuit, s.art.Inputs)
+			art := steps[i].art
+			ref, _ := mpc.RunOpts(art.Cfg, mpc.EngineOptions{Adversary: art.Adversary}, art.Circuit, art.Inputs)
 			if ref != nil {
 				sr.OneShotMessages = ref.HonestMessages
 				oneShotTotal += ref.HonestMessages
@@ -337,32 +309,147 @@ func RunWorkloadOpts(m *Manifest, opt WorkloadRunOptions) (*WorkloadReport, erro
 			// engine's global counters, so the resumed run's final report
 			// matches the uninterrupted one exactly.
 			if err := writeWorkloadCheckpoint(opt.CheckpointPath, m, opt, i+1, rep, totalTicks, oneShotTotal, eng); err != nil {
-				return nil, fmt.Errorf("scenario %q: checkpoint after step %d: %w", m.Name, i, err)
+				return fmt.Errorf("checkpoint after step %d: %w", i, err)
 			}
 		}
 		if opt.StopAfter > 0 && i+1 >= opt.StopAfter && i+1 < len(steps) {
-			// Simulated crash: return the partial report as-is. The
-			// checkpoint file (if requested) carries everything a resume
-			// needs; summary fields stay unset on this partial report.
-			return rep, nil
+			return errStopServing
 		}
+		return nil
+	})
+	switch {
+	case errors.Is(err, errStopServing):
+		// Simulated crash: return the partial report as-is. The
+		// checkpoint file (if requested) carries everything a resume
+		// needs; summary fields stay unset on this partial report.
+		return rep, nil
+	case err != nil:
+		return nil, fmt.Errorf("scenario %q: %w", m.Name, err)
 	}
-
 	finalizeWorkloadReport(rep, eng, len(steps), totalTicks, oneShotTotal, opt.Compare)
 	return rep, nil
 }
 
-// evaluateRefilling runs one sequential evaluation. If the budgeted
-// pool ran dry it refills one batch sized for the step and retries
-// once — the recoverable path the typed exhaustion error exists for.
-func evaluateRefilling(eng *mpc.Engine, art *RunArtifacts) (*mpc.Result, error) {
-	res, err := eng.Evaluate(art.Circuit, art.Inputs)
-	if err != nil && isExhausted(err) {
-		if _, ferr := eng.Preprocess(max(1, art.Circuit.MulCount)); ferr == nil {
-			res, err = eng.Evaluate(art.Circuit, art.Inputs)
+// workloadConfig is the engine config of a workload served at depth:
+// the manifest's, with the refill watermarks armed when pipelined (the
+// sequential path refills only on the exhaustion retry).
+func (m *Manifest) workloadConfig(depth int) (mpc.Config, *mpc.Adversary) {
+	cfg, adv := m.engineConfig()
+	if depth > 0 {
+		cfg.RefillLowWater = m.Workload.RefillLowWater
+		cfg.RefillBudget = m.Workload.RefillBudget
+	}
+	return cfg, adv
+}
+
+// openEngine builds a workload's session engine: restored from
+// snapshot when non-nil, else fresh with one budget-sized
+// preprocessing batch.
+func openEngine(cfg mpc.Config, eopts mpc.EngineOptions, snapshot []byte, budget int) (*mpc.Engine, error) {
+	if snapshot != nil {
+		eng, err := mpc.RestoreEngineOpts(cfg, eopts, bytes.NewReader(snapshot))
+		if err != nil {
+			return nil, fmt.Errorf("resume: %w", err)
+		}
+		return eng, nil
+	}
+	eng, err := mpc.NewEngineOpts(cfg, eopts)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := eng.Preprocess(budget); err != nil {
+		eng.Close()
+		return nil, fmt.Errorf("preprocess: %w", err)
+	}
+	return eng, nil
+}
+
+// errStopServing, returned by a serveSteps row callback, ends the loop
+// early without an error.
+var errStopServing = errors.New("scenario: serving stopped")
+
+// serveSteps is the one serving loop behind RunWorkloadOpts and
+// Deployment.Serve. It submits evaluations from..to-1 in order,
+// evaluation k running steps[k % len(steps)] (Serve's rounds), through
+// a FIFO window of max(depth, 1) evaluations (depth 0 through the blocking
+// Evaluate, depth k >= 1 through k in-flight EvaluateAsync epochs) and
+// hands every outcome to row in step order, a failed submission
+// included. Pool exhaustion at submit drains the window and refills one
+// batch sized for the step before a single retry (the watermark knobs,
+// when armed, refill in the background before it comes to that); if
+// the refill fails, the step reports the exhaustion. A transport fault
+// is an environment failure, not a protocol outcome: it ends the loop
+// with an error, as does an error from row.
+func serveSteps(eng *mpc.Engine, steps []builtStep, from, to, depth int, row func(k int, res *mpc.Result, err error) error) error {
+	type slot struct {
+		k   int
+		p   *mpc.PendingEval // nil once the outcome is known
+		res *mpc.Result
+		err error
+	}
+	var window []slot
+	inflight := 0
+	settle := func() error {
+		s := window[0]
+		window = window[1:]
+		if s.p != nil {
+			s.res, s.err = s.p.Wait()
+			inflight--
+		}
+		if s.err != nil && errors.Is(s.err, mpc.ErrTransport) {
+			return fmt.Errorf("step %d: %w", s.k, s.err)
+		}
+		return row(s.k, s.res, s.err)
+	}
+	// drain settles the whole window. Evaluate ends at quiescence, so
+	// only pipelined activity needs the Flush that lands every epoch and
+	// background refill before a Preprocess or the end of the loop.
+	drain := func() error {
+		for len(window) > 0 {
+			if err := settle(); err != nil {
+				return err
+			}
+		}
+		if depth > 0 {
+			return eng.Flush()
+		}
+		return nil
+	}
+	submit := func(s builtStep) (*mpc.PendingEval, *mpc.Result, error) {
+		if depth == 0 {
+			res, err := eng.Evaluate(s.art.Circuit, s.art.Inputs)
+			return nil, res, err
+		}
+		p, err := eng.EvaluateAsync(s.art.Circuit, s.art.Inputs)
+		return p, nil, err
+	}
+	for k := from; k < to; k++ {
+		for inflight >= max(depth, 1) {
+			if err := settle(); err != nil {
+				return err
+			}
+		}
+		s := steps[k%len(steps)]
+		p, res, err := submit(s)
+		if errors.Is(err, mpc.ErrTriplesExhausted) {
+			if err := drain(); err != nil {
+				return err
+			}
+			if _, ferr := eng.Preprocess(max(1, s.art.Circuit.MulCount)); ferr == nil {
+				p, res, err = submit(s)
+			}
+		}
+		window = append(window, slot{k: k, p: p, res: res, err: err})
+		if p != nil {
+			inflight++
+		}
+		for len(window) > 0 && window[0].p == nil {
+			if err := settle(); err != nil {
+				return err
+			}
 		}
 	}
-	return res, err
+	return drain()
 }
 
 // builtStep pairs a workload step's spec with its built artifacts.
@@ -393,25 +480,13 @@ func buildSteps(m *Manifest, cfg mpc.Config, adv *mpc.Adversary) ([]builtStep, i
 }
 
 // workloadStepRow builds one step's report row from an evaluation
-// outcome — shared by the sequential and pipelined serving loops (so a
-// depth-1 pipelined report is field-for-field comparable to a
-// sequential one) and by Deployment.Serve's printed rows.
+// outcome, for RunWorkloadOpts' report and Deployment.Serve's printed
+// rows alike.
 func workloadStepRow(m *Manifest, i int, s builtStep, res *mpc.Result, runErr error) WorkloadStepReport {
 	sr := WorkloadStepReport{Index: i, Circuit: s.spec.Circuit.String(), Triples: s.art.Circuit.MulCount}
-	if runErr != nil {
-		sr.Err = errName(runErr)
-	}
 	var lastAbs, lastRel int64
+	sr.Err, sr.Outputs, lastAbs = digest(m.Adversary, res, runErr)
 	if res != nil {
-		corrupt := map[int]bool{}
-		for _, p := range m.Adversary.Corrupt() {
-			corrupt[p] = true
-		}
-		for idx, t := range res.TerminatedAt {
-			if !corrupt[idx] && t > lastAbs {
-				lastAbs = t
-			}
-		}
 		if lastAbs > 0 {
 			lastRel = lastAbs - res.StartedAt
 		}
@@ -420,97 +495,10 @@ func workloadStepRow(m *Manifest, i int, s builtStep, res *mpc.Result, runErr er
 		sr.HonestBytes = res.HonestBytes
 		sr.ByFamily = res.ByFamily
 		sr.Ticks = lastRel
-		if runErr == nil {
-			sr.Outputs = make([]uint64, len(res.Outputs))
-			for k, o := range res.Outputs {
-				sr.Outputs[k] = o.Uint64()
-			}
-		}
 	}
 	sr.Failures = assertExpect(s.spec.Expect, m.Adversary, s.art, res, runErr, lastAbs, lastRel)
 	sr.Pass = len(sr.Failures) == 0
 	return sr
-}
-
-// runWorkloadPipelined serves the steps through a sliding window of
-// depth in-flight EvaluateAsync epochs on the one engine. Rows are
-// indexed by step so the report stays in step order even though a
-// submission failure can land its row while earlier steps are still in
-// flight. Pool exhaustion at submit drains the window and refills via
-// the same Preprocess-and-retry path as the sequential loop (the
-// watermark knobs, when armed, refill in the background before it ever
-// comes to that).
-func runWorkloadPipelined(m *Manifest, eng *mpc.Engine, steps []builtStep, rep *WorkloadReport,
-	opt WorkloadRunOptions, depth int, totalTicks *int64, oneShotTotal *uint64) error {
-	rows := make([]WorkloadStepReport, len(steps))
-	type inflight struct {
-		idx int
-		p   *mpc.PendingEval
-	}
-	var window []inflight
-	settle := func() error {
-		f := window[0]
-		window = window[1:]
-		res, runErr := f.p.Wait()
-		if runErr != nil && errors.Is(runErr, mpc.ErrTransport) {
-			return fmt.Errorf("scenario %q: step %d: %w", m.Name, f.idx, runErr)
-		}
-		rows[f.idx] = workloadStepRow(m, f.idx, steps[f.idx], res, runErr)
-		return nil
-	}
-	for i, s := range steps {
-		if len(window) == depth {
-			if err := settle(); err != nil {
-				return err
-			}
-		}
-		p, runErr := eng.EvaluateAsync(s.art.Circuit, s.art.Inputs)
-		if runErr != nil && isExhausted(runErr) {
-			for len(window) > 0 {
-				if err := settle(); err != nil {
-					return err
-				}
-			}
-			if err := eng.Flush(); err != nil {
-				return fmt.Errorf("scenario %q: step %d: %w", m.Name, i, err)
-			}
-			if _, ferr := eng.Preprocess(max(1, s.art.Circuit.MulCount)); ferr == nil {
-				p, runErr = eng.EvaluateAsync(s.art.Circuit, s.art.Inputs)
-			}
-		}
-		if runErr != nil {
-			if errors.Is(runErr, mpc.ErrTransport) {
-				return fmt.Errorf("scenario %q: step %d: %w", m.Name, i, runErr)
-			}
-			rows[i] = workloadStepRow(m, i, s, nil, runErr)
-			continue
-		}
-		window = append(window, inflight{idx: i, p: p})
-	}
-	for len(window) > 0 {
-		if err := settle(); err != nil {
-			return err
-		}
-	}
-	if err := eng.Flush(); err != nil {
-		return fmt.Errorf("scenario %q: %w", m.Name, err)
-	}
-	for i := range rows {
-		if !rows[i].Pass {
-			rep.Pass = false
-		}
-		*totalTicks += rows[i].Ticks
-		if opt.Compare {
-			s := steps[i]
-			ref, _ := mpc.RunOpts(s.art.Cfg, mpc.EngineOptions{Adversary: s.art.Adversary}, s.art.Circuit, s.art.Inputs)
-			if ref != nil {
-				rows[i].OneShotMessages = ref.HonestMessages
-				*oneShotTotal += ref.HonestMessages
-			}
-		}
-		rep.Steps = append(rep.Steps, rows[i])
-	}
-	return nil
 }
 
 // finalizeWorkloadReport fills the summary fields from the engine's
@@ -535,11 +523,6 @@ func finalizeWorkloadReport(rep *WorkloadReport, eng *mpc.Engine, steps int, tot
 			rep.Savings = rep.OneShotMsgsPerEval / rep.AmortizedMsgsPerEval
 		}
 	}
-}
-
-// isExhausted reports a pool-exhaustion engine error.
-func isExhausted(err error) bool {
-	return errors.Is(err, mpc.ErrTriplesExhausted)
 }
 
 // builtinWorkloads is the registry of named built-in workloads, kept
